@@ -13,6 +13,7 @@ import (
 
 	"fusion/internal/bench"
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/fusioncore"
 	"fusion/internal/pdg"
@@ -25,16 +26,17 @@ const benchScale = 0.01
 
 var benchBudget = bench.Budget{Time: 5 * time.Minute, CondBytes: 2 << 30}
 
-// compile caches subjects across benchmarks within one process.
+// compile caches subjects across benchmarks within one process, per
+// absint tier mode.
 var subjectCache = map[string]*bench.Subject{}
 
-func compile(b *testing.B, info progen.Subject, scale float64) *bench.Subject {
+func compile(b *testing.B, info progen.Subject, scale float64, mode driver.AbsintMode) *bench.Subject {
 	b.Helper()
-	key := info.Name
+	key := info.Name + "/" + mode.String()
 	if s, ok := subjectCache[key]; ok {
 		return s
 	}
-	s, err := bench.Compile(context.Background(), info, scale)
+	s, err := bench.Compile(context.Background(), info, scale, mode)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -74,7 +76,7 @@ func BenchmarkTable1(b *testing.B) {
 func BenchmarkTable2(b *testing.B) {
 	info := progen.Subjects[9] // vortex
 	for i := 0; i < b.N; i++ {
-		if _, err := bench.Compile(context.Background(), info, benchScale); err != nil {
+		if _, err := bench.Compile(context.Background(), info, benchScale, driver.AbsintOff); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -82,7 +84,7 @@ func BenchmarkTable2(b *testing.B) {
 
 // BenchmarkTable3 compares the two engines on null checking.
 func BenchmarkTable3(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	b.Run("fusion", func(b *testing.B) {
 		runEngine(b, sub, checker.NullDeref(), func() engines.Engine { return engines.NewFusion() })
 	})
@@ -93,7 +95,7 @@ func BenchmarkTable3(b *testing.B) {
 
 // BenchmarkFig10 adds the formula-simplification variants.
 func BenchmarkFig10(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	b.Run("pinpoint-lfs", func(b *testing.B) {
 		runEngine(b, sub, checker.NullDeref(), func() engines.Engine { return engines.NewPinpoint(engines.LFS) })
 	})
@@ -105,7 +107,7 @@ func BenchmarkFig10(b *testing.B) {
 // BenchmarkFig11 measures a single fused solve versus a standalone solve of
 // the eagerly translated condition, per instance.
 func BenchmarkFig11(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	cands := sparse.NewEngine(sub.Graph).Run(checker.NullDeref())
 	if len(cands) == 0 {
 		b.Fatal("no candidates")
@@ -127,7 +129,7 @@ func BenchmarkFig11(b *testing.B) {
 
 // BenchmarkTable4 runs the taint analyses.
 func BenchmarkTable4(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	b.Run("cwe23-fusion", func(b *testing.B) {
 		runEngine(b, sub, checker.PathTraversal(), func() engines.Engine { return engines.NewFusion() })
 	})
@@ -141,7 +143,7 @@ func BenchmarkTable4(b *testing.B) {
 
 // BenchmarkTable5 compares Fusion with the Infer-like analyzer.
 func BenchmarkTable5(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	b.Run("fusion", func(b *testing.B) {
 		runEngine(b, sub, checker.NullDeref(), func() engines.Engine { return engines.NewFusion() })
 	})
@@ -153,7 +155,7 @@ func BenchmarkTable5(b *testing.B) {
 // BenchmarkFig1c measures the conventional engine's condition memory,
 // reporting the retained bytes as a metric.
 func BenchmarkFig1c(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	for i := 0; i < b.N; i++ {
 		eng := engines.NewPinpoint(engines.Plain)
 		c := bench.Run(context.Background(), sub, checker.NullDeref(), eng, benchBudget)
@@ -164,7 +166,7 @@ func BenchmarkFig1c(b *testing.B) {
 // --- Ablations ---
 
 func benchFusionOpts(b *testing.B, opts fusioncore.Options) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	runEngine(b, sub, checker.NullDeref(), func() engines.Engine {
 		e := engines.NewFusion()
 		e.Opts = opts
@@ -192,7 +194,7 @@ func BenchmarkAblationDelayedCloning(b *testing.B) {
 // cold cache per run against one reusing its cache across candidates
 // (which is its normal mode; this isolates the caching benefit).
 func BenchmarkAblationSummaryCache(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	cands := sparse.NewEngine(sub.Graph).Run(checker.NullDeref())
 	b.Run("shared-cache", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -212,7 +214,7 @@ func BenchmarkAblationSummaryCache(b *testing.B) {
 
 // BenchmarkSparsePropagation isolates the shared path-enumeration phase.
 func BenchmarkSparsePropagation(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	for i := 0; i < b.N; i++ {
 		sparse.NewEngine(sub.Graph).Run(checker.NullDeref())
 	}
@@ -221,7 +223,7 @@ func BenchmarkSparsePropagation(b *testing.B) {
 // BenchmarkAblationEnumeration compares the DFS path enumeration with the
 // summary-based one (Algorithm 2's S_t) on a wide call graph.
 func BenchmarkAblationEnumeration(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
+	sub := compile(b, progen.Subjects[9], benchScale, driver.AbsintOff)
 	spec := checker.NullDeref()
 	b.Run("dfs", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -238,21 +240,17 @@ func BenchmarkAblationEnumeration(b *testing.B) {
 // BenchmarkAblationAbsint toggles the interval abstract-interpretation
 // tier on the value-constrained checkers, reporting how many queries the
 // tier decides (refuted or pruned before solving) and how many reach the
-// bit-precise solver.
+// bit-precise solver. The subject is compiled once per mode; its program
+// builds the analysis in the first iteration and later ones reuse it.
 func BenchmarkAblationAbsint(b *testing.B) {
-	sub := compile(b, progen.Subjects[9], benchScale)
-	for _, cfg := range []struct {
-		name string
-		on   bool
-	}{{"on", true}, {"off", false}} {
-		b.Run(cfg.name, func(b *testing.B) {
+	for _, mode := range []driver.AbsintMode{driver.AbsintOn, driver.AbsintOff} {
+		sub := compile(b, progen.Subjects[9], benchScale, mode)
+		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				var decided, solved, reports int
 				for _, spec := range []*sparse.Spec{checker.DivByZero(), checker.IndexOOB()} {
-					e := engines.NewFusion()
-					e.UseAbsint = cfg.on
-					c := bench.Run(context.Background(), sub, spec, e, benchBudget)
+					c := bench.Run(context.Background(), sub, spec, engines.NewFusion(), benchBudget)
 					if c.Failed {
 						b.Fatalf("engine run failed: %s", c.FailNote)
 					}

@@ -250,22 +250,18 @@ func run(cfg config) (outcome, error) {
 	if err != nil {
 		return res, err
 	}
-	engines.SetParallel(eng, cfg.workers)
-	engines.SetBudget(eng, cfg.budget)
-	engines.SetNoSession(eng, cfg.noSession)
-	engines.SetSupervision(eng, cfg.retries, cfg.watchdogGrace)
-	if cfg.rec != nil {
-		engines.SetTelemetry(eng, cfg.rec)
-	}
+	s := eng.Settings()
+	s.Parallel, s.NoSession, s.Telemetry = cfg.workers, cfg.noSession, cfg.rec
+	s.Cfg.Budget, s.Cfg.Retries, s.Cfg.WatchdogGrace = cfg.budget, cfg.retries, cfg.watchdogGrace
 	// The abstract tier applies to the fused engine: it refutes queries
 	// before any formula is built, and its invariants prune provably-safe
-	// candidates during DFS enumeration. The analysis is computed once on
-	// the compiled program and shared between pruning and refutation.
+	// candidates during DFS enumeration. The program builds the analysis
+	// once and it is shared between pruning and refutation.
+	var oracle func(sparse.Candidate) bool
 	useAbsint := false
-	if f, ok := eng.(*engines.Fusion); ok && cfg.absint != driver.AbsintOff {
-		f.Opts.Absint = prog.Absint()
-		f.NoSimplify = cfg.absint == driver.AbsintNoSimplify
-		useAbsint = true
+	if f, ok := eng.(*engines.Fusion); ok {
+		oracle = f.UseTier(prog)
+		useAbsint = cfg.absint != driver.AbsintOff
 	}
 
 	pruned := 0
@@ -274,9 +270,7 @@ func run(cfg config) (outcome, error) {
 		case "", "dfs":
 			e := sparse.NewEngine(g)
 			e.Workers = cfg.workers
-			if useAbsint {
-				e.Oracle = prog.Oracle()
-			}
+			e.Oracle = oracle
 			cands := e.RunContext(ctx, spec)
 			pruned += e.Pruned
 			res.failures = append(res.failures, e.Failures...)

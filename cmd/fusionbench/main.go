@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"fusion/internal/bench"
+	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/faultinject"
 	"fusion/internal/progen"
@@ -37,7 +38,6 @@ func main() {
 	budget := flag.Duration("budget", 5*time.Minute, "per-engine-run time budget")
 	smt2dir := flag.String("smt2dir", "", "dump every SMT instance as SMT-LIB v2 files into this directory and exit")
 	workers := flag.Int("workers", 0, "worker count for compilation, enumeration, and checking (0 = sequential; output is identical for any count)")
-	parallel := flag.Int("parallel", 0, "deprecated alias for -workers")
 	timeout := flag.Duration("timeout", 0, "overall wall-clock budget for the whole invocation (0 = none)")
 	absint := flag.String("absint", "on", "abstract-interpretation tier in the fused engine: on (intervals × stride + zone), nostride (congruence disabled), nosimplify (formula pre-simplification disabled), intervals (zone and stride disabled), or off")
 	session := flag.String("session", "on", "warm incremental solver sessions: on (per-worker sessions reuse learned clauses and term encodings) or off (every query solves one-shot — the oracle)")
@@ -54,16 +54,14 @@ func main() {
 		fmt.Fprintln(os.Stderr, "fusionbench:", err)
 		os.Exit(2)
 	}
-	if *absint != "on" && *absint != "nostride" && *absint != "nosimplify" && *absint != "off" && *absint != "intervals" {
-		fmt.Fprintf(os.Stderr, "fusionbench: -absint must be on, nostride, nosimplify, intervals, or off, got %q\n", *absint)
+	mode, err := driver.ParseAbsintMode(*absint)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "fusionbench:", err)
 		os.Exit(2)
 	}
 	if *session != "on" && *session != "off" {
 		fmt.Fprintf(os.Stderr, "fusionbench: -session must be on or off, got %q\n", *session)
 		os.Exit(2)
-	}
-	if *workers == 0 {
-		*workers = *parallel
 	}
 	if *resume && *checkpoint == "" {
 		fmt.Fprintln(os.Stderr, "fusionbench: -resume requires -checkpoint")
@@ -79,14 +77,11 @@ func main() {
 
 	var unitFailures []*failure.UnitFailure
 	opts := bench.Options{
-		Scale:         *scale,
-		Budget:        bench.Budget{Time: *budget, CondBytes: 2 << 30},
-		Workers:       *workers,
-		Absint:        *absint != "off",
-		IntervalsOnly: *absint == "intervals",
-		NoStride:      *absint == "nostride",
-		NoSimplify:    *absint == "nosimplify",
-		NoSession:     *session == "off",
+		Scale:     *scale,
+		Budget:    bench.Budget{Time: *budget, CondBytes: 2 << 30},
+		Workers:   *workers,
+		Absint:    mode,
+		NoSession: *session == "off",
 		OnCost: func(c bench.Cost) {
 			unitFailures = append(unitFailures, c.Failures...)
 		},

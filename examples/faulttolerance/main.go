@@ -94,7 +94,7 @@ func main() {
 	fmt.Println("\n--- expired per-candidate deadline ---")
 	p, cands = compile(budgetSrc)
 	eng = engines.NewFusion()
-	engines.SetBudget(eng, engines.Budget{Deadline: time.Nanosecond})
+	eng.Cfg.Budget = engines.Budget{Deadline: time.Nanosecond}
 	for _, v := range eng.Check(context.Background(), p.Graph, cands) {
 		tag := ""
 		if v.Degraded {

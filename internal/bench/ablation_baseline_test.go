@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"fusion/internal/driver"
 	"fusion/internal/progen"
 )
 
@@ -40,6 +41,7 @@ const baselinePath = "testdata/absint_baseline.json"
 
 func baselineOpts(bl ablationBaseline, t *testing.T) Options {
 	opts := Options{
+		Absint: driver.AbsintOff,
 		Scale:  bl.Scale,
 		Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
 	}

@@ -23,53 +23,34 @@ import (
 
 // Subject is a compiled benchmark subject ready for analysis.
 type Subject struct {
-	Info     progen.Subject
+	Info progen.Subject
+	// Program is the compiled artifact; it owns the subject's absint
+	// tier, built in the mode the subject was compiled with.
+	Program  *driver.Program
 	Graph    *pdg.Graph
 	GT       progen.GroundTruth
 	Stats    pdg.Stats
 	GenLines int
 }
 
-// Compile generates and compiles a subject at the given scale on the
-// shared driver pipeline (progen sources carry their own extern
-// declarations, so no prelude).
-func Compile(ctx context.Context, info progen.Subject, scale float64) (*Subject, error) {
+// Compile generates and compiles a subject at the given scale, with the
+// given absint tier mode, on the shared driver pipeline.
+func Compile(ctx context.Context, info progen.Subject, scale float64, mode driver.AbsintMode) (*Subject, error) {
+	return compileSubject(ctx, info, scale, driver.Options{Absint: mode})
+}
+
+// compileSubject is Compile with full driver options (telemetry). progen
+// sources carry their own extern declarations, so no prelude.
+func compileSubject(ctx context.Context, info progen.Subject, scale float64, opts driver.Options) (*Subject, error) {
 	src, gt, lines := info.Build(scale)
-	p, err := driver.Compile(ctx, driver.Source{Name: info.Name, Text: src}, driver.Options{})
+	p, err := driver.Compile(ctx, driver.Source{Name: info.Name, Text: src}, opts)
 	if err != nil {
 		return nil, fmt.Errorf("bench: %w", err)
 	}
 	return &Subject{
-		Info: info, Graph: p.Graph, GT: gt,
+		Info: info, Program: p, Graph: p.Graph, GT: gt,
 		Stats: p.Stats, GenLines: lines,
 	}, nil
-}
-
-// CompileAll compiles a set of subjects on a worker pool, preserving
-// input order.
-func CompileAll(ctx context.Context, subs []progen.Subject, scale float64, workers int) ([]*Subject, error) {
-	type result struct {
-		sub *Subject
-		err error
-	}
-	rs, fails := driver.ParallelCheck(ctx, len(subs), workers, func(i int) result {
-		s, err := Compile(ctx, subs[i], scale)
-		return result{s, err}
-	})
-	out := make([]*Subject, len(rs))
-	for i, r := range rs {
-		if f := fails[i]; f != nil {
-			// Compile contains its own panics; this only fires for a crash
-			// outside it. Name the subject instead of the slot.
-			f.Unit = subs[i].Name
-			return nil, f
-		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		out[i] = r.sub
-	}
-	return out, nil
 }
 
 // Cost summarizes one engine's run over one subject and spec.
@@ -179,14 +160,11 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 
 	senge := sparse.NewEngine(sub.Graph)
 	senge.Workers = workers
-	// An absint-enabled fusion engine also prunes during enumeration; the
-	// tier build is part of the engine's timed work.
+	// A fused engine runs the program's absint tier, which also prunes
+	// during enumeration. The program builds the analysis on first use,
+	// inside this timed region; later runs on the same program reuse it.
 	if f, ok := eng.(*engines.Fusion); ok {
-		if an := f.Absint(sub.Graph); an != nil {
-			senge.Oracle = func(c sparse.Candidate) bool {
-				return an.PrunePath(c.Path, c.Constraints(0)...)
-			}
-		}
+		senge.Oracle = f.UseTier(sub.Program)
 	}
 	cands := senge.RunContext(rctx, spec)
 	cost.AbsintPruned = senge.Pruned
@@ -281,8 +259,7 @@ func runWorkers(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engine
 // candidate is re-run); the rest are checked for real, with each final
 // verdict journaled as it settles. Verdicts produced after the run
 // context expired are partial cancellation results and are never
-// recorded. Engines without a verdict observer (wrappers) simply skip
-// unit records — the whole-run summary record still lands.
+// recorded.
 func checkJournaled(rctx context.Context, sub *Subject, eng engines.Engine, cands []sparse.Candidate, j *Journal, runKey string) []engines.Verdict {
 	verdicts := make([]engines.Verdict, len(cands))
 	todo := make([]sparse.Candidate, 0, len(cands))
@@ -295,7 +272,7 @@ func checkJournaled(rctx context.Context, sub *Subject, eng engines.Engine, cand
 		todo = append(todo, c)
 		todoIdx = append(todoIdx, i)
 	}
-	installed := engines.SetOnVerdict(eng, func(ti int, v engines.Verdict) {
+	engines.SetOnVerdict(eng, func(ti int, v engines.Verdict) {
 		if rctx.Err() != nil {
 			return
 		}
@@ -304,9 +281,7 @@ func checkJournaled(rctx context.Context, sub *Subject, eng engines.Engine, cand
 		_ = j.RecordUnit(runKey, todoIdx[ti], v)
 	})
 	vs := eng.Check(rctx, sub.Graph, todo)
-	if installed {
-		engines.SetOnVerdict(eng, nil)
-	}
+	engines.SetOnVerdict(eng, nil)
 	for ti, v := range vs {
 		verdicts[todoIdx[ti]] = v
 	}

@@ -2,26 +2,31 @@ package bench
 
 import (
 	"context"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/progen"
 	"fusion/internal/sparse"
+	"fusion/internal/telemetry"
 )
 
 // tinyOpts keeps experiment tests fast.
 var tinyOpts = Options{
+	Absint:   driver.AbsintOff,
 	Scale:    0.01,
 	Subjects: progen.Subjects[:3],
 	Budget:   Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
 }
 
 func TestCompile(t *testing.T) {
-	sub, err := Compile(context.Background(), progen.Subjects[0], 0.05)
+	sub, err := Compile(context.Background(), progen.Subjects[0], 0.05, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +36,7 @@ func TestCompile(t *testing.T) {
 }
 
 func TestRunScoresGroundTruth(t *testing.T) {
-	sub, err := Compile(context.Background(), progen.Subjects[1], 0.05)
+	sub, err := Compile(context.Background(), progen.Subjects[1], 0.05, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +115,7 @@ func TestExperimentDriversRun(t *testing.T) {
 }
 
 func TestTable3SmallSubjects(t *testing.T) {
-	out, err := Table3(context.Background(), Options{Scale: 0.05, Subjects: progen.Subjects[:2],
+	out, err := Table3(context.Background(), Options{Absint: driver.AbsintOff, Scale: 0.05, Subjects: progen.Subjects[:2],
 		Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30}})
 	if err != nil {
 		t.Fatal(err)
@@ -121,7 +126,7 @@ func TestTable3SmallSubjects(t *testing.T) {
 }
 
 func TestFig11SmallSubjects(t *testing.T) {
-	out, err := Fig11(context.Background(), Options{Scale: 0.05, Subjects: progen.Subjects[:2]})
+	out, err := Fig11(context.Background(), Options{Absint: driver.AbsintOff, Scale: 0.05, Subjects: progen.Subjects[:2]})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +150,7 @@ func TestExperimentNamesComplete(t *testing.T) {
 func TestLargeSubjectDriversRunSmall(t *testing.T) {
 	// The large-subject experiments accept a subject override; run them on
 	// tiny subjects to exercise the drivers.
-	opts := Options{Scale: 0.02, Subjects: progen.Subjects[:2],
+	opts := Options{Absint: driver.AbsintOff, Scale: 0.02, Subjects: progen.Subjects[:2],
 		Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30}}
 	for _, name := range []string{"fig1c", "table5", "cwe369", "table4"} {
 		out, err := Experiments[name](context.Background(), opts)
@@ -160,7 +165,7 @@ func TestLargeSubjectDriversRunSmall(t *testing.T) {
 
 func TestDumpSMT2(t *testing.T) {
 	dir := t.TempDir()
-	n, err := DumpSMT2(context.Background(), Options{Scale: 0.05, Subjects: progen.Subjects[:1]}, dir)
+	n, err := DumpSMT2(context.Background(), Options{Absint: driver.AbsintOff, Scale: 0.05, Subjects: progen.Subjects[:1]}, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -192,15 +197,17 @@ func TestAblationAbsintSoundAndEffective(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sub, err := Compile(context.Background(), info, 0.001)
+		sub, err := Compile(context.Background(), info, 0.001, driver.AbsintOff)
+		if err != nil {
+			t.Fatal(err)
+		}
+		subOn, err := Compile(context.Background(), info, 0.001, driver.AbsintOn)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, spec := range []*sparse.Spec{checker.DivByZero(), checker.IndexOOB()} {
 			off := Run(context.Background(), sub, spec, engines.NewFusion(), budget)
-			on := engines.NewFusion()
-			on.UseAbsint = true
-			onc := Run(context.Background(), sub, spec, on, budget)
+			onc := Run(context.Background(), subOn, spec, engines.NewFusion(), budget)
 			if off.Failed || onc.Failed {
 				t.Fatalf("%s/%s: run failed: %s%s", name, spec.Name, off.FailNote, onc.FailNote)
 			}
@@ -227,14 +234,12 @@ func TestAblationAbsintSoundAndEffective(t *testing.T) {
 // worker counts: summaries are built in deterministic topological order
 // per query, so parallel runs must be byte-for-byte reproducible.
 func TestSimplifiedCountersDeterministic(t *testing.T) {
-	sub, err := Compile(context.Background(), progen.Subjects[1], 0.05)
+	sub, err := Compile(context.Background(), progen.Subjects[1], 0.05, driver.AbsintOn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(workers int) Cost {
-		eng := engines.NewFusion()
-		eng.UseAbsint = true
-		return RunWorkers(context.Background(), sub, checker.DivByZero(), eng,
+		return RunWorkers(context.Background(), sub, checker.DivByZero(), engines.NewFusion(),
 			Budget{Time: time.Minute, CondBytes: 1 << 30}, workers)
 	}
 	c1, c8 := run(1), run(8)
@@ -255,18 +260,15 @@ func TestSimplifiedCountersDeterministic(t *testing.T) {
 // the cost counters, never a verdict: same reports, same refutations, zero
 // folds.
 func TestNoSimplifyAblationAgrees(t *testing.T) {
-	sub, err := Compile(context.Background(), progen.Subjects[1], 0.05)
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(noSimplify bool) Cost {
-		eng := engines.NewFusion()
-		eng.UseAbsint = true
-		eng.NoSimplify = noSimplify
-		return Run(context.Background(), sub, checker.DivByZero(), eng,
+	run := func(mode driver.AbsintMode) Cost {
+		sub, err := Compile(context.Background(), progen.Subjects[1], 0.05, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Run(context.Background(), sub, checker.DivByZero(), engines.NewFusion(),
 			Budget{Time: time.Minute, CondBytes: 1 << 30})
 	}
-	on, off := run(false), run(true)
+	on, off := run(driver.AbsintOn), run(driver.AbsintNoSimplify)
 	if off.Simplified != 0 || off.PrunedGuards != 0 {
 		t.Errorf("nosimplify still folded: (%d, %d)", off.Simplified, off.PrunedGuards)
 	}
@@ -276,5 +278,43 @@ func TestNoSimplifyAblationAgrees(t *testing.T) {
 	if on.Reports != off.Reports || on.TP != off.TP || on.FP != off.FP ||
 		on.Unknown != off.Unknown || on.AbsintDecided != off.AbsintDecided {
 		t.Errorf("ablation changed verdicts: on=%+v off=%+v", on, off)
+	}
+}
+
+// TestTable3BuildsAbsintOncePerSubject: the absint tier is built by the
+// subject's program, once, inside the first fused run — so a Table 3
+// run with a recorder carries exactly one compile/absint span per
+// subject, and the conventional engine never builds one.
+func TestTable3BuildsAbsintOncePerSubject(t *testing.T) {
+	rec := telemetry.New()
+	subs := progen.Subjects[:3]
+	if _, err := Table3(context.Background(), Options{Absint: driver.AbsintOn, Scale: 0.01, Subjects: subs,
+		Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30}, Telemetry: rec}); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "trace.json")
+	if err := rec.WriteTrace(path); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name, Cat, Ph string
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(data, &trace); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	for _, e := range trace.TraceEvents {
+		if e.Ph == "X" && e.Cat == "compile" && e.Name == "absint" {
+			builds++
+		}
+	}
+	if builds != len(subs) {
+		t.Errorf("%d compile/absint spans for %d subjects, want one each", builds, len(subs))
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/faultinject"
 	"fusion/internal/progen"
@@ -17,7 +18,7 @@ import (
 // checking after Run returns (the old implementation leaked the worker).
 func TestRunBudgetCooperativeCancellation(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestRunBudgetCooperativeCancellation(t *testing.T) {
 // per candidate, with the undecided remainder scored as Unknown.
 func TestRunPartialVerdictsUnderShortBudget(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func countUnsat(c Cost) int { return c.SolverCalls + c.AbsintDecided - c.Reports
 // TestRunParentCancelIsNotFailure: a cancelled caller context stops the
 // run but is not scored as a subject budget failure.
 func TestRunParentCancelIsNotFailure(t *testing.T) {
-	sub, err := Compile(context.Background(), progen.Subjects[5], 0.02)
+	sub, err := Compile(context.Background(), progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,17 +98,14 @@ func TestRunParentCancelIsNotFailure(t *testing.T) {
 // verdict slots are index-stable.
 func TestRunWorkersDeterministic(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[9], 0.05)
+	// Compiled with the tier, which only the fused engine runs.
+	sub, err := Compile(ctx, progen.Subjects[9], 0.05, driver.AbsintOn)
 	if err != nil {
 		t.Fatal(err)
 	}
 	budget := Budget{Time: time.Minute, CondBytes: 1 << 30}
 	mk := map[string]func() engines.Engine{
-		"fusion": func() engines.Engine {
-			e := engines.NewFusion()
-			e.UseAbsint = true
-			return e
-		},
+		"fusion":   func() engines.Engine { return engines.NewFusion() },
 		"pinpoint": func() engines.Engine { return engines.NewPinpoint(engines.Plain) },
 		"infer":    func() engines.Engine { return engines.NewInfer() },
 	}
@@ -129,7 +127,7 @@ func TestRunWorkersDeterministic(t *testing.T) {
 // and 8 workers.
 func TestRunUnderInjectedPanic(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[9], 0.05)
+	sub, err := Compile(ctx, progen.Subjects[9], 0.05, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +171,7 @@ func TestRunUnderInjectedPanic(t *testing.T) {
 // deterministic across worker counts.
 func TestRunMixedTiersUnderInjectedExhaustion(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[9], 0.05)
+	sub, err := Compile(ctx, progen.Subjects[9], 0.05, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,7 +3,8 @@
 // (OOM, kill -9, power loss) resumes by replaying completed records
 // instead of re-solving them. Records are keyed by a digest over
 // everything that determines a run's verdicts — experiment, subject,
-// checker, engine configuration, scale, budget — plus a per-key
+// checker, engine configuration (for Fusion, the absint mode of the
+// subject's program), scale, budget — plus a per-key
 // occurrence counter; worker count, retries, and the watchdog grace
 // window are deliberately excluded, since they may only change cost,
 // never verdicts. Replayed Costs feed the same table renderers as live
@@ -38,6 +39,7 @@ import (
 	"sync"
 	"time"
 
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/failure"
 	"fusion/internal/faultinject"
@@ -388,20 +390,20 @@ func (j *Journal) append(rec journalRecord, publish func()) error {
 func (j *Journal) Close() error { return j.f.Close() }
 
 // engineFingerprint renders the verdict-relevant configuration of an
-// engine. Worker counts and supervision settings are excluded: they may
-// only change cost. Unknown engine types fall back to their name, which
-// is correct as long as they carry no ablation knobs.
-func engineFingerprint(eng engines.Engine) string {
+// engine run on a program compiled in the given absint mode. Worker
+// counts and supervision settings are excluded: they may only change
+// cost. Unknown engine types fall back to their name, which is correct
+// as long as they carry no ablation knobs.
+func engineFingerprint(eng engines.Engine, mode driver.AbsintMode) string {
+	s := eng.Settings()
+	solve := fmt.Sprintf("nosession=%t timeout=%s conflicts=%d budget=%d/%d/%s/%d",
+		s.NoSession, s.Cfg.Timeout, s.Cfg.MaxConflicts,
+		s.Cfg.Budget.Steps, s.Cfg.Budget.Conflicts, s.Cfg.Budget.Deadline, s.Cfg.Budget.MaxHeapDelta)
 	switch x := eng.(type) {
 	case *engines.Fusion:
-		return fmt.Sprintf("fusion absint=%t intervals=%t nostride=%t nosimplify=%t nosession=%t timeout=%s conflicts=%d budget=%d/%d/%s/%d",
-			x.UseAbsint, x.IntervalsOnly, x.NoStride, x.NoSimplify, x.NoSession,
-			x.Cfg.Timeout, x.Cfg.MaxConflicts,
-			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
+		return fmt.Sprintf("fusion absint=%s nosimplify=%t %s", mode, x.Opts.DisableAbsintSimplify, solve)
 	case *engines.Pinpoint:
-		return fmt.Sprintf("%s nosession=%t timeout=%s conflicts=%d qe=%d budget=%d/%d/%s/%d",
-			x.Name(), x.NoSession, x.Cfg.Timeout, x.Cfg.MaxConflicts, x.QEBudget,
-			x.Cfg.Budget.Steps, x.Cfg.Budget.Conflicts, x.Cfg.Budget.Deadline, x.Cfg.Budget.MaxHeapDelta)
+		return fmt.Sprintf("%s qe=%d %s", x.Name(), x.QEBudget, solve)
 	case *engines.Infer:
 		return fmt.Sprintf("infer depth=%d specbudget=%d", x.MaxSummaryDepth, x.SpecBudget)
 	default:
@@ -414,5 +416,5 @@ func engineFingerprint(eng engines.Engine) string {
 func (o Options) runDesc(sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget) string {
 	return fmt.Sprintf("%s | %s | %s | scale=%g | budget=%s/%d | %s",
 		o.Experiment, sub.Info.Name, spec.Name, o.scale(),
-		budget.Time, budget.CondBytes, engineFingerprint(eng))
+		budget.Time, budget.CondBytes, engineFingerprint(eng, sub.Program.AbsintMode()))
 }

@@ -2,6 +2,7 @@ package bench
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -9,6 +10,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/progen"
 )
@@ -123,7 +125,7 @@ func TestJournalTornTailDropped(t *testing.T) {
 // table rows render byte-identical — without re-running the engine.
 func TestRunBudgetReplaysFromJournal(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +138,7 @@ func TestRunBudgetReplaysFromJournal(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer j.Close()
-		o := Options{Scale: 0.02, Budget: budget, Journal: j, Experiment: "test"}
+		o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: budget, Journal: j, Experiment: "test"}
 		return o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
 	}
 	live := runOnce()
@@ -157,7 +159,7 @@ func TestRunBudgetReplaysFromJournal(t *testing.T) {
 // real result.
 func TestRunBudgetNeverRecordsCancelledRuns(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
-	sub, err := Compile(context.Background(), progen.Subjects[5], 0.02)
+	sub, err := Compile(context.Background(), progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,7 +169,7 @@ func TestRunBudgetNeverRecordsCancelledRuns(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	o := Options{Scale: 0.02, Budget: Budget{Time: time.Minute, CondBytes: 1 << 30},
+	o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: Budget{Time: time.Minute, CondBytes: 1 << 30},
 		Journal: j, Experiment: "test"}
 	o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
 	j.Close()
@@ -179,5 +181,45 @@ func TestRunBudgetNeverRecordsCancelledRuns(t *testing.T) {
 	defer j2.Close()
 	if j2.Len() != 0 {
 		t.Errorf("cancelled run checkpointed %d record(s)", j2.Len())
+	}
+}
+
+// TestJournalKeysFollowAbsintMode: a fused run's journal key carries the
+// absint mode its program was compiled with, so the five -absint modes
+// never replay each other's records, while the worker count and the
+// retry height — which may only change cost — stay out of the key.
+func TestJournalKeysFollowAbsintMode(t *testing.T) {
+	ctx := context.Background()
+	dir := t.TempDir()
+	key := func(mode driver.AbsintMode, workers, retries int) string {
+		t.Helper()
+		sub, err := Compile(ctx, progen.Subjects[0], 0.01, mode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A fresh journal per key, so every key is its description's
+		// first occurrence.
+		j, err := OpenJournal(filepath.Join(dir, fmt.Sprintf("%s-%d-%d.jsonl", mode, workers, retries)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer j.Close()
+		o := Options{Absint: mode, Scale: 0.01, Workers: workers, Retries: retries,
+			Budget: Budget{Time: time.Minute, CondBytes: 1 << 30}, Journal: j, Experiment: "test"}
+		k, _ := j.Key(o.runDesc(sub, checker.NullDeref(), o.fusion(), o.Budget))
+		return k
+	}
+	seen := map[string]driver.AbsintMode{}
+	for _, mode := range ablationModes {
+		k := key(mode, 1, 0)
+		if prev, dup := seen[k]; dup {
+			t.Errorf("modes %s and %s share journal key %s", prev, mode, k)
+		}
+		seen[k] = mode
+		for _, cfg := range [][2]int{{8, 0}, {1, 2}, {8, 2}} {
+			if got := key(mode, cfg[0], cfg[1]); got != k {
+				t.Errorf("mode %s: workers=%d retries=%d changed the key: %s vs %s", mode, cfg[0], cfg[1], got, k)
+			}
+		}
 	}
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"fusion/internal/checker"
+	"fusion/internal/driver"
 	"fusion/internal/engines"
 	"fusion/internal/failure"
 	"fusion/internal/faultinject"
@@ -138,7 +139,7 @@ func TestJournalOversizedRecordDropped(t *testing.T) {
 // stack dropped, value truncated — and the record itself stays small.
 func TestUnitRecordRoundTrip(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestUnitRecordRoundTrip(t *testing.T) {
 // verdict-derived cost.
 func TestRunWorkersResumesMidSubject(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -299,13 +300,13 @@ func TestRunWorkersResumesMidSubject(t *testing.T) {
 // CI diff metrics files across configurations.
 func TestMetricsCountersWorkerInvariant(t *testing.T) {
 	ctx := context.Background()
-	sub, err := Compile(ctx, progen.Subjects[5], 0.02)
+	sub, err := Compile(ctx, progen.Subjects[5], 0.02, driver.AbsintOff)
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(workers int) []byte {
 		rec := telemetry.New()
-		o := Options{Scale: 0.02, Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
+		o := Options{Absint: driver.AbsintOff, Scale: 0.02, Budget: Budget{Time: 2 * time.Minute, CondBytes: 1 << 30},
 			Workers: workers, Experiment: "test", Telemetry: rec}
 		o.run(ctx, sub, checker.NullDeref(), engines.NewFusion())
 		b, err := rec.CountersJSON()

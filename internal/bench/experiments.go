@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"fusion/internal/absint"
 	"fusion/internal/checker"
 	"fusion/internal/cond"
 	"fusion/internal/driver"
@@ -36,19 +35,10 @@ type Options struct {
 	// fifteen threads); 0 or 1 means sequential. Output is deterministic
 	// regardless of the worker count.
 	Workers int
-	// Absint enables the abstract-interpretation tier in every fused
-	// engine the experiments construct.
-	Absint bool
-	// IntervalsOnly restricts the tier to the interval domain, disabling
-	// the zone relational domain — the `-absint=intervals` ablation.
-	IntervalsOnly bool
-	// NoStride disables the congruence (stride) domain while keeping the
-	// zone tier — the `-absint=nostride` ablation.
-	NoStride bool
-	// NoSimplify keeps every domain but disables the absint-guided
-	// pre-simplification of local conditions — the `-absint=nosimplify`
-	// ablation.
-	NoSimplify bool
+	// Absint is the abstract-interpretation tier mode the subjects are
+	// compiled with; every fused engine run on them uses that tier. The
+	// zero value is the full tier, like the command line's -absint=on.
+	Absint driver.AbsintMode
 	// NoSession disables the warm incremental solver sessions in every
 	// engine the experiments construct: each query then builds a fresh
 	// solver and blaster (the one-shot oracle) — the `-session=off`
@@ -95,21 +85,21 @@ func (o Options) workers() int {
 
 func (o Options) fusion() *engines.Fusion {
 	e := engines.NewFusion()
-	e.Parallel = o.workers()
-	e.UseAbsint = o.Absint
-	e.IntervalsOnly = o.IntervalsOnly
-	e.NoStride = o.NoStride
-	e.NoSimplify = o.NoSimplify
-	e.NoSession = o.NoSession
-	e.Cfg.Retries, e.Cfg.WatchdogGrace = o.Retries, o.WatchdogGrace
+	o.configure(e)
 	return e
 }
 
 func (o Options) pinpoint(v engines.Variant) *engines.Pinpoint {
 	e := engines.NewPinpoint(v)
-	e.NoSession = o.NoSession
-	e.Cfg.Retries, e.Cfg.WatchdogGrace = o.Retries, o.WatchdogGrace
+	o.configure(e)
 	return e
+}
+
+// configure applies the options' engine settings.
+func (o Options) configure(e engines.Engine) {
+	s := e.Settings()
+	s.NoSession = o.NoSession
+	s.Cfg.Retries, s.Cfg.WatchdogGrace = o.Retries, o.WatchdogGrace
 }
 
 func (o Options) subjects(def []progen.Subject) []progen.Subject {
@@ -119,32 +109,24 @@ func (o Options) subjects(def []progen.Subject) []progen.Subject {
 	return def
 }
 
-// compileAll compiles the experiment's subject set once, on the options'
-// worker pool. With telemetry enabled, each compile's stage spans land
-// on its worker's trace track.
+// compileAll compiles the experiment's subject set once, in the options'
+// absint mode, on the options' worker pool. With telemetry enabled, each
+// compile's stage spans land on its worker's trace track.
 func (o Options) compileAll(ctx context.Context, infos []progen.Subject) ([]*Subject, error) {
-	if o.Telemetry == nil {
-		return CompileAll(ctx, infos, o.scale(), o.workers())
-	}
 	type result struct {
 		sub *Subject
 		err error
 	}
 	rs, fails := driver.ParallelCheckWorkers(ctx, len(infos), o.workers(), func(i, w int) result {
-		src, gt, lines := infos[i].Build(o.scale())
-		p, err := driver.Compile(ctx, driver.Source{Name: infos[i].Name, Text: src},
-			driver.Options{Telemetry: o.Telemetry, TelemetryTrack: w + 1})
-		if err != nil {
-			return result{nil, fmt.Errorf("bench: %w", err)}
-		}
-		return result{&Subject{
-			Info: infos[i], Graph: p.Graph, GT: gt,
-			Stats: p.Stats, GenLines: lines,
-		}, nil}
+		s, err := compileSubject(ctx, infos[i], o.scale(), driver.Options{
+			Absint: o.Absint, Telemetry: o.Telemetry, TelemetryTrack: w + 1})
+		return result{s, err}
 	})
 	out := make([]*Subject, len(rs))
 	for i, r := range rs {
 		if f := fails[i]; f != nil {
+			// compileSubject contains its own panics; this only fires for a
+			// crash outside it. Name the subject instead of the slot.
 			f.Unit = infos[i].Name
 			return nil, f
 		}
@@ -170,9 +152,7 @@ func (o Options) run(ctx context.Context, sub *Subject, spec *sparse.Spec, eng e
 // its partial Unknown verdicts must not masquerade as the real result on
 // resume.
 func (o Options) runBudget(ctx context.Context, sub *Subject, spec *sparse.Spec, eng engines.Engine, budget Budget) Cost {
-	if o.Telemetry != nil {
-		engines.SetTelemetry(eng, o.Telemetry)
-	}
+	engines.SetTelemetry(eng, o.Telemetry)
 	var key, desc string
 	if o.Journal != nil {
 		// Key occurrence counters advance on replay and live runs alike,
@@ -334,6 +314,11 @@ type Instance struct {
 func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 	var out []Instance
 	spec := checker.NullDeref()
+	if opts.Absint == driver.AbsintOff {
+		// The figure measures the fused solver as it ships, tier included;
+		// the other modes pick the tier's configuration.
+		opts.Absint = driver.AbsintOn
+	}
 	subs, err := opts.compileAll(ctx, opts.subjects(progen.Subjects))
 	if err != nil {
 		return nil, err
@@ -342,15 +327,16 @@ func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 		senge := sparse.NewEngine(sub.Graph)
 		senge.Workers = opts.workers()
 		cands := senge.RunContext(ctx, spec)
-		an := absintFor(sub, opts.IntervalsOnly, opts.NoStride)
+		// The engine only carries the tier's solver options here; the
+		// solves below call fusioncore directly.
+		tier := engines.NewFusion()
+		tier.UseTier(sub.Program)
 		for _, c := range cands {
 			paths := []pdg.Path{c.Path}
 
 			fb := smt.NewBuilder()
 			t0 := time.Now()
-			fr := fusioncore.Solve(ctx, fb, sub.Graph, paths, fusioncore.Options{
-				Absint: an, DisableAbsintSimplify: opts.NoSimplify,
-			})
+			fr := fusioncore.Solve(ctx, fb, sub.Graph, paths, tier.Opts)
 			fused := time.Since(t0)
 
 			eb := smt.NewBuilder()
@@ -372,16 +358,6 @@ func Fig11Instances(ctx context.Context, opts Options) ([]Instance, error) {
 		}
 	}
 	return out, nil
-}
-
-// absintFor builds the tier analysis for one subject through a throwaway
-// driver-independent fused engine, keeping the construction in one place.
-func absintFor(sub *Subject, intervalsOnly, noStride bool) *absint.Analysis {
-	e := engines.NewFusion()
-	e.UseAbsint = true
-	e.IntervalsOnly = intervalsOnly
-	e.NoStride = noStride
-	return e.Absint(sub.Graph)
 }
 
 // DumpSMT2 writes every null-checking SMT instance of the given subjects
@@ -641,28 +617,34 @@ type AblationCost struct {
 	Cost
 }
 
-// ablationCosts runs the four-mode ablation and reports whether every
-// mode produced the identical report count per (subject, checker).
+// ablationModes are the absint ablation's modes, in table order.
+var ablationModes = []driver.AbsintMode{driver.AbsintOff, driver.AbsintIntervals,
+	driver.AbsintNoStride, driver.AbsintNoSimplify, driver.AbsintOn}
+
+// ablationCosts runs the five-mode ablation and reports whether every
+// mode produced the identical report count per (subject, checker). The
+// subjects are compiled once per mode, since a program owns its tier;
+// Options.Absint is ignored.
 func ablationCosts(ctx context.Context, opts Options) ([]AblationCost, bool, error) {
 	var out []AblationCost
 	identical := true
-	subs, err := opts.compileAll(ctx, opts.subjects(largeSubjects()))
-	if err != nil {
-		return nil, false, err
+	byMode := make([][]*Subject, len(ablationModes))
+	for m, mode := range ablationModes {
+		o := opts
+		o.Absint = mode
+		subs, err := o.compileAll(ctx, opts.subjects(largeSubjects()))
+		if err != nil {
+			return nil, false, err
+		}
+		byMode[m] = subs
 	}
-	for _, sub := range subs {
+	for i := range byMode[0] {
 		for _, spec := range []*sparse.Spec{checker.DivByZero(), checker.IndexOOB()} {
-			// Explicit engines per mode: the ablation ignores Options.Absint.
 			var reports []int
-			for _, mode := range []string{"off", "intervals", "nostride", "nosimplify", "on"} {
-				eng := opts.fusion()
-				eng.UseAbsint = mode != "off"
-				eng.IntervalsOnly = mode == "intervals"
-				eng.NoStride = mode == "nostride"
-				eng.NoSimplify = mode == "nosimplify"
-				c := opts.run(ctx, sub, spec, eng)
+			for m, mode := range ablationModes {
+				c := opts.run(ctx, byMode[m][i], spec, opts.fusion())
 				reports = append(reports, c.Reports)
-				out = append(out, AblationCost{Mode: mode, Cost: c})
+				out = append(out, AblationCost{Mode: mode.String(), Cost: c})
 			}
 			for _, r := range reports[1:] {
 				if r != reports[0] {

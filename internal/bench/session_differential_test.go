@@ -7,6 +7,7 @@ import (
 
 	"fusion/internal/checker"
 	"fusion/internal/cond"
+	"fusion/internal/driver"
 	"fusion/internal/pdg"
 	"fusion/internal/progen"
 	"fusion/internal/sat"
@@ -24,7 +25,7 @@ import (
 // agreement is vacuous.
 func TestSessionWarmVsColdCorpus(t *testing.T) {
 	ctx := context.Background()
-	subs, err := CompileAll(ctx, progen.Subjects, 0.002, 4)
+	subs, err := Options{Absint: driver.AbsintOff, Scale: 0.002, Workers: 4}.compileAll(ctx, progen.Subjects)
 	if err != nil {
 		t.Fatal(err)
 	}

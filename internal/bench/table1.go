@@ -144,10 +144,13 @@ func Ablations(ctx context.Context, opts Options) (string, error) {
 	if len(opts.Subjects) > 0 {
 		info = opts.Subjects[0]
 	}
-	sub, err := Compile(ctx, info, opts.scale())
+	// The configurations are tier-free: compile without the absint tier.
+	opts.Absint = driver.AbsintOff
+	subs, err := opts.compileAll(ctx, []progen.Subject{info})
 	if err != nil {
 		return "", err
 	}
+	sub := subs[0]
 	t := &Table{
 		Title:  fmt.Sprintf("Ablations on %s (null exceptions)", info.Name),
 		Header: []string{"Configuration", "Time", "Cond-Mem", "Reports"},

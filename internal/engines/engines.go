@@ -20,11 +20,9 @@ import (
 	"context"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unsafe"
 
-	"fusion/internal/absint"
 	"fusion/internal/cond"
 	"fusion/internal/driver"
 	"fusion/internal/failure"
@@ -114,6 +112,53 @@ type Engine interface {
 	// ConditionBytes estimates the memory retained for conditions and
 	// summaries after Check.
 	ConditionBytes() int64
+	// Settings returns the engine's shared settings for in-place update.
+	Settings() *Common
+}
+
+// Common holds the settings every engine shares. Engines embed it, and
+// callers that do not know the concrete engine reach it through
+// Engine.Settings; settings an engine has no use for are ignored.
+type Common struct {
+	Cfg SolverConfig
+	// Parallel is the worker count for Check; 0 or 1 means sequential.
+	Parallel int
+	// NoSession disables the warm incremental solver sessions, rebuilding
+	// the solving stack per query — the `-session=off` ablation (and the
+	// oracle the differential tests compare against).
+	NoSession bool
+	// Telemetry, when non-nil, receives per-candidate ladder spans,
+	// per-attempt solve spans (on the attempt's worker track), and the
+	// verdict-derived counters of every Check. Nil — the default — costs
+	// one pointer check per site.
+	Telemetry *telemetry.Recorder
+	// OnVerdict, when non-nil, observes each candidate's final verdict as
+	// soon as its retry ladder settles, before Check returns; i is the
+	// candidate's input index. Called from worker goroutines concurrently —
+	// the observer synchronizes itself. Verdicts synthesized for slots
+	// that crashed outside the supervised region are not observed (they
+	// still appear in Check's result).
+	OnVerdict func(i int, v Verdict)
+}
+
+// Settings implements Engine for every engine that embeds Common.
+func (s *Common) Settings() *Common { return s }
+
+// check fans fn out over the configured workers and settles the batch:
+// each verdict is observed as soon as fn returns it, slots that crashed
+// outside fn's own containment become failure verdicts, and the batch is
+// folded into telemetry.
+func (s *Common) check(ctx context.Context, cands []sparse.Candidate, fn func(ctx context.Context, c sparse.Candidate, w int) Verdict) []Verdict {
+	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), s.Parallel, func(i, w int) Verdict {
+		v := fn(ctx, cands[i], w)
+		if s.OnVerdict != nil {
+			s.OnVerdict(i, v)
+		}
+		return v
+	})
+	attachFailures(vs, fails, cands)
+	recordVerdicts(s.Telemetry, vs)
+	return vs
 }
 
 // SolverConfig carries the per-query solver budget (the paper limits each
@@ -135,10 +180,15 @@ type SolverConfig struct {
 	// Retries is how many times a candidate whose attempt crashed or was
 	// abandoned is re-run, with escalating strategy (warm session →
 	// fresh cold session → one-shot stack). 0 means a single attempt.
+	// With no fault, verdicts are identical for any value: a clean first
+	// attempt never re-runs.
 	Retries int
 	// WatchdogGrace arms the per-worker watchdog: an attempt whose solver
 	// heartbeat stays flat for this long at or past its deadline is
 	// hard-abandoned. 0 disables the watchdog (attempts run inline).
+	// Pinpoint ignores it and always runs attempts inline: its attempts
+	// hold the summary-cache lock, which an abandoned attempt would
+	// strand.
 	WatchdogGrace time.Duration
 }
 
@@ -188,46 +238,13 @@ func (c SolverConfig) options() solver.Options {
 // independent, so checking parallelizes trivially — the paper runs its
 // analyses with fifteen threads.
 type Fusion struct {
-	Cfg SolverConfig
-	// Opts tunes the fused solver (ablations).
+	Common
+	// Opts tunes the fused solver (ablations). Opts.Absint is the
+	// abstract-interpretation tier, consulted before every solve; nil
+	// leaves it off. UseTier wires a compiled program's tier in.
 	Opts fusioncore.Options
-	// UseAbsint enables the abstract-interpretation tier: the
-	// whole-program analysis is computed once per graph and consulted
-	// before every solve.
-	UseAbsint bool
-	// IntervalsOnly disables the zone relational domain, leaving the
-	// interval tier alone — the `-absint=intervals` ablation.
-	IntervalsOnly bool
-	// NoStride disables the congruence (stride) domain while keeping the
-	// zone tier — the `-absint=nostride` ablation. IntervalsOnly implies
-	// NoStride.
-	NoStride bool
-	// NoSimplify keeps every domain but disables the absint-guided
-	// pre-simplification of local conditions — the `-absint=nosimplify`
-	// ablation. Refutation and fact export are unaffected.
-	NoSimplify bool
-	// NoSession disables the warm incremental solver sessions, rebuilding
-	// the whole solving stack per candidate — the `-session=off` ablation
-	// (and the oracle the differential tests compare against).
-	NoSession bool
-	// Parallel is the worker count for Check; 0 or 1 means sequential.
-	Parallel int
-	// Telemetry, when non-nil, receives per-candidate ladder spans,
-	// per-attempt solve spans (on the attempt's worker track), and the
-	// verdict-derived counters of every Check. Nil — the default — costs
-	// one pointer check per site.
-	Telemetry *telemetry.Recorder
-	// OnVerdict, when non-nil, observes each candidate's final verdict as
-	// soon as its retry ladder settles, before Check returns; i is the
-	// candidate's input index. Called from worker goroutines concurrently —
-	// the observer synchronizes itself. Verdicts synthesized for slots
-	// that crashed outside the supervised region are not observed (they
-	// still appear in Check's result).
-	OnVerdict func(i int, v Verdict)
-	mu        sync.Mutex
-	peak      int64
-	absG      *pdg.Graph
-	abs       *absint.Analysis
+	mu   sync.Mutex
+	peak int64
 	// sessions is the pool-affine warm solver pool: one session per
 	// ParallelCheck worker slot, reused across Check calls.
 	sessions *driver.Sessions
@@ -236,30 +253,22 @@ type Fusion struct {
 	fb fallbackTier
 }
 
-// Absint returns the engine's interval analysis for the graph, building
-// and caching it on first use. Nil unless UseAbsint is set (or an analysis
-// was injected through Opts.Absint).
-func (e *Fusion) Absint(g *pdg.Graph) *absint.Analysis {
-	if e.Opts.Absint != nil {
-		return e.Opts.Absint
-	}
-	if !e.UseAbsint {
-		return nil
-	}
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.absG != g {
-		e.abs = absint.AnalyzeWith(g, absint.Config{
-			DisableZone:   e.IntervalsOnly,
-			DisableStride: e.IntervalsOnly || e.NoStride,
-		})
-		e.absG = g
-	}
-	return e.abs
-}
-
 // NewFusion returns the fused engine with default options.
 func NewFusion() *Fusion { return &Fusion{} }
+
+// UseTier wires the program's abstract-interpretation tier into the
+// engine — its analysis for refutation, and the pre-simplification
+// switch of the nosimplify mode — and returns the enumeration oracle
+// backed by the same analysis (nil when the tier is off). The program
+// builds the analysis on first use and every later run on it reuses the
+// build.
+func (e *Fusion) UseTier(p *driver.Program) func(sparse.Candidate) bool {
+	e.Opts.Absint = p.Absint()
+	if p.AbsintMode() == driver.AbsintNoSimplify {
+		e.Opts.DisableAbsintSimplify = true
+	}
+	return p.Oracle()
+}
 
 // Name implements Engine.
 func (e *Fusion) Name() string { return "fusion" }
@@ -289,132 +298,48 @@ func (e *Fusion) sessionPool(n int) *driver.Sessions {
 	return e.sessions
 }
 
-// Check implements Engine.
+// Check implements Engine. Each candidate climbs the shared retry
+// ladder under the watchdog; attempt 1 uses the worker's warm session,
+// attempt 2 a fresh cold session in the same slot, attempt 3+ the
+// one-shot stack with no warm state at all. An abandoned attempt's
+// session slot is replaced, because the orphaned goroutine still owns
+// the old session's solving stack.
 func (e *Fusion) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	e.Absint(g) // build the shared analysis once, outside the pool
 	pool := e.sessionPool(driver.PoolSize(len(cands), e.Parallel))
-	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := e.checkSupervised(ctx, g, cands[i], pool, w)
-		if e.OnVerdict != nil {
-			e.OnVerdict(i, v)
-		}
-		return v
-	})
-	attachFailures(vs, fails, cands)
-	recordVerdicts(e.Telemetry, vs)
-	return vs
+	l := ladder{
+		Common: &e.Common, engine: e.Name(), g: g,
+		watchdog: true, tier: e.Opts.Absint, fb: &e.fb,
+		attempt: func(at rung) Verdict {
+			var sess *solver.Session
+			if pool != nil {
+				switch at.n {
+				case 1:
+					sess = pool.At(at.w)
+				case 2:
+					sess = pool.Replace(at.w)
+				}
+			}
+			return e.checkOne(at, g, sess)
+		},
+		abandoned: func(w int) {
+			if pool != nil {
+				pool.Replace(w)
+			}
+		},
+	}
+	return e.check(ctx, cands, l.run)
 }
 
-// checkSupervised is the retry ladder for one candidate: run an attempt
-// under the watchdog; on a contained panic or an abandonment, re-run up
-// to Cfg.Retries times with escalating strategy — attempt 1 uses the
-// worker's warm session, attempt 2 a fresh cold session in the same
-// slot, attempt 3+ the one-shot stack with no warm state at all. A
-// ladder exhausted on crashes records exactly one UnitFailure carrying
-// the attempt count; one exhausted on abandonment yields an Abandoned
-// verdict. Either way the cheap refutation tiers get a last look, so a
-// persistently crashing unit can still end with a sound Unsat.
-func (e *Fusion) checkSupervised(parent context.Context, g *pdg.Graph, c sparse.Candidate, pool *driver.Sessions, w int) Verdict {
-	if rec := e.Telemetry; rec != nil {
-		t0 := time.Now()
-		// The ladder span encloses every attempt span on the same track, so
-		// the trace nests attempts under their candidate by containment.
-		defer func() { rec.Span(w+1, "candidate", UnitLabel(c), t0, time.Now()) }()
-	}
-	attempts := 1 + e.Cfg.Retries
-	var lastFail *failure.UnitFailure
-	abandoned := false
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if parent.Err() != nil {
-			return Verdict{Cand: c, Status: sat.Unknown, Attempts: attempt - 1}
-		}
-		v, fail, ab := e.checkAttempt(parent, g, c, pool, w, attempt)
-		if fail == nil && !ab {
-			v.Attempts = attempt
-			return v
-		}
-		if fail != nil {
-			lastFail = fail
-		}
-		abandoned = ab
-	}
-	if lastFail != nil {
-		lastFail.Attempts = attempts
-	}
-	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts,
-		Abandoned: abandoned, Failure: lastFail}
-	// Final ladder rung: the abstract refuters run outside the crashed or
-	// wedged solving stack and may still produce a sound Unsat.
-	an := e.Absint(g)
-	if an == nil {
-		an = e.fb.analysis(g)
-	}
-	degradeVerdict(parent, an, g, c, &v)
-	return v
-}
-
-// checkAttempt runs one attempt of the ladder under the watchdog. On
-// abandonment the attempt's context is cancelled — the orphaned
-// goroutine unwinds through the solver's cooperative polling — and the
-// worker's session slot is replaced, because the orphan still owns the
-// old session's solving stack.
-func (e *Fusion) checkAttempt(parent context.Context, g *pdg.Graph, c sparse.Candidate, pool *driver.Sessions, w, attempt int) (Verdict, *failure.UnitFailure, bool) {
-	var sess *solver.Session
-	if pool != nil {
-		switch attempt {
-		case 1:
-			sess = pool.At(w)
-		case 2:
-			sess = pool.Replace(w)
-		}
-		// attempt 3+: one-shot, no warm state at all.
-	}
-	ctx, cancel := e.Cfg.candidateCtx(parent)
-	defer cancel()
-	// The injected stall.solve wedge gets a cancellation-only context: a
-	// real wedge ignores deadlines, so the simulated one must not release
-	// when the attempt's deadline merely expires — only when this attempt
-	// is torn down (watchdog abandonment or run cancellation).
-	stallCtx, stallCancel := context.WithCancel(parent)
-	defer stallCancel()
-	deadline, _ := ctx.Deadline()
-	var hb atomic.Int64
-	var t0 time.Time
-	if e.Telemetry != nil {
-		t0 = time.Now()
-	}
-	v, fail, abandoned := driver.Supervise(ctx, driver.Watchdog{Grace: e.Cfg.WatchdogGrace},
-		deadline, &hb, UnitLabel(c), "check", func() Verdict {
-			return e.checkOne(parent, ctx, stallCtx, g, c, sess, &hb, attempt)
-		})
-	if abandoned && pool != nil {
-		pool.Replace(w)
-	}
-	if rec := e.Telemetry; rec != nil {
-		rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
-			Unit: UnitLabel(c), Engine: e.Name(),
-			Tier: v.Tier.String(), Status: v.Status.String(),
-			Attempt: attempt, Abandoned: abandoned,
-		})
-		if abandoned {
-			// Per-attempt tally: timing-dependent (an earlier rung may or
-			// may not have been abandoned before a retry succeeded), so it
-			// lives in Sched; the final-verdict Abandoned flag feeds the
-			// deterministic watchdog.abandoned counter in recordVerdicts.
-			rec.Sched("watchdog.abandoned_attempts", 1)
-		}
-	}
-	return v, fail, abandoned
-}
-
-// checkOne runs a single attempt: parent is the caller's context, ctx
-// the attempt's own (per-candidate deadline applied); distinguishing
-// the two is what tells budget exhaustion from outside cancellation.
-func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c sparse.Candidate, sess *solver.Session, hb *atomic.Int64, attempt int) Verdict {
+// checkOne runs a single attempt: at.parent is the caller's context,
+// at.ctx the attempt's own (per-candidate deadline applied);
+// distinguishing the two is what tells budget exhaustion from outside
+// cancellation.
+func (e *Fusion) checkOne(at rung, g *pdg.Graph, sess *solver.Session) Verdict {
+	c := at.c
 	// Bail on the parent only: an already-expired per-candidate deadline
 	// (ctx) must still reach the exhaustion path below so the
 	// degradation ladder gets its look.
-	if parent.Err() != nil {
+	if at.parent.Err() != nil {
 		return Verdict{Cand: c, Status: sat.Unknown}
 	}
 	var b *smt.Builder
@@ -434,20 +359,16 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
-		faultinject.FireSolveAttempt(unit, attempt)
+		faultinject.FireSolveAttempt(unit, at.n)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	opts := e.Opts
 	opts.Solver = e.Cfg.options()
 	opts.Solver.Unit = UnitLabel(c)
-	opts.Solver.Heartbeat = hb
-	opts.Solver.StallCtx = stallCtx
+	opts.Solver.Heartbeat = at.hb
+	opts.Solver.StallCtx = at.stall
 	opts.Session = sess
 	opts.Constraints = c.Constraints(0)
-	opts.Absint = e.Absint(g)
-	if e.NoSimplify {
-		opts.DisableAbsintSimplify = true
-	}
 	if e.Cfg.Budget.MaxHeapDelta > 0 && opts.MaxHeapDelta == 0 {
 		opts.MaxHeapDelta = e.Cfg.Budget.MaxHeapDelta
 	}
@@ -457,7 +378,7 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 		opts.Solver.MaxDecisions = 1
 	}
 	t0 := time.Now()
-	r := fusioncore.Solve(ctx, b, g, []pdg.Path{c.Path}, opts)
+	r := fusioncore.Solve(at.ctx, b, g, []pdg.Path{c.Path}, opts)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		DecidedByAbsint: r.DecidedByAbsint,
@@ -487,7 +408,7 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 	// The per-candidate deadline firing (parent still alive) is budget
 	// exhaustion too, even though the solver saw it as ctx cancellation.
 	exhausted := r.Exhausted ||
-		(r.Status == sat.Unknown && ctx.Err() != nil && parent.Err() == nil)
+		(r.Status == sat.Unknown && at.ctx.Err() != nil && at.parent.Err() == nil)
 	if exhausted {
 		// Degradation ladder: when the engine's own absint tier already
 		// failed to refute before the solve, re-running it cannot help —
@@ -496,7 +417,7 @@ func (e *Fusion) checkOne(parent, ctx, stallCtx context.Context, g *pdg.Graph, c
 		if opts.Absint != nil {
 			v.Degraded, v.Tier = true, TierUnknown
 		} else {
-			degradeVerdict(parent, e.fb.analysis(g), g, c, &v)
+			degradeVerdict(at.parent, e.fb.analysis(g), g, c, &v)
 		}
 	}
 	e.mu.Lock()
@@ -562,23 +483,14 @@ func (v Variant) String() string {
 // (cond.Translate) over a long-lived builder that models the function
 // summary cache — every condition ever computed stays resident, which is
 // the memory behaviour Figure 1(c) measures.
+//
+// Common.Parallel is honoured, but the shared summary cache is
+// single-writer, so candidates serialize on mu around translation and
+// solving — parallelism only overlaps the per-candidate slicing with a
+// running solve, faithfully to the design's memory behaviour.
 type Pinpoint struct {
-	Cfg     SolverConfig
+	Common
 	Variant Variant
-	// Parallel is the worker count for Check; 0 or 1 means sequential.
-	// The shared summary cache is single-writer, so candidates serialize
-	// on mu around translation and solving — parallelism only overlaps
-	// the per-candidate slicing with a running solve, faithfully to the
-	// design's memory behaviour.
-	Parallel int
-	// NoSession disables the warm incremental solver session, rebuilding
-	// the solving stack per query — the `-session=off` ablation.
-	NoSession bool
-	// Telemetry and OnVerdict mirror the Fusion fields: per-candidate and
-	// per-attempt spans plus verdict counters, and a concurrent
-	// final-verdict observer.
-	Telemetry *telemetry.Recorder
-	OnVerdict func(i int, v Verdict)
 	// cache is the shared term store standing in for the summary cache.
 	cache *smt.Builder
 	// warm is the incremental session over cache. A single session, not a
@@ -606,77 +518,35 @@ func (e *Pinpoint) Name() string { return e.Variant.String() }
 // ConditionBytes implements Engine.
 func (e *Pinpoint) ConditionBytes() int64 { return e.cache.EstimatedBytes() }
 
-// Check implements Engine.
+// Check implements Engine. Each candidate climbs the shared retry
+// ladder with no watchdog: candidates serialize on the summary-cache
+// lock, so an abandoned attempt would strand the lock-holding goroutine
+// and deadlock every other candidate. The warm session still self-heals:
+// a contained panic skips Finish, so the next attempt's Begin rebuilds
+// the solving stack (attempt 2's "fresh cold session"), and attempt 3+
+// bypasses the session entirely for a one-shot solve.
 func (e *Pinpoint) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidate) []Verdict {
-	vs, fails := driver.ParallelCheckWorkers(ctx, len(cands), e.Parallel, func(i, w int) Verdict {
-		v := e.checkSupervised(ctx, g, cands[i], w)
-		if e.OnVerdict != nil {
-			e.OnVerdict(i, v)
-		}
-		return v
-	})
-	attachFailures(vs, fails, cands)
-	recordVerdicts(e.Telemetry, vs)
-	return vs
+	l := ladder{
+		Common: &e.Common, engine: e.Name(), g: g,
+		watchdog: false, fb: &e.fb,
+		attempt: func(at rung) Verdict { return e.checkOneVerdict(at, g) },
+	}
+	return e.check(ctx, cands, l.run)
 }
 
-// checkSupervised is Pinpoint's retry ladder. It runs attempts inline —
-// no watchdog goroutine: candidates serialize on the summary-cache
-// lock, so a supervised abandonment would strand the lock-holding
-// goroutine and deadlock every other candidate. The warm session still
-// self-heals: a contained panic skips Finish, so the next attempt's
-// Begin rebuilds the solving stack (attempt 2's "fresh cold session"),
-// and attempt 3+ bypasses the session entirely for a one-shot solve.
-func (e *Pinpoint) checkSupervised(parent context.Context, g *pdg.Graph, c sparse.Candidate, w int) Verdict {
-	if rec := e.Telemetry; rec != nil {
-		t0 := time.Now()
-		defer func() { rec.Span(w+1, "candidate", UnitLabel(c), t0, time.Now()) }()
-	}
-	attempts := 1 + e.Cfg.Retries
-	var lastFail *failure.UnitFailure
-	for attempt := 1; attempt <= attempts; attempt++ {
-		if parent.Err() != nil {
-			return Verdict{Cand: c, Status: sat.Unknown, Attempts: attempt - 1}
-		}
-		var t0 time.Time
-		if e.Telemetry != nil {
-			t0 = time.Now()
-		}
-		v, fail, _ := driver.Supervise(parent, driver.Watchdog{}, time.Time{}, nil,
-			UnitLabel(c), "check", func() Verdict {
-				return e.checkOneVerdict(parent, g, c, attempt)
-			})
-		if rec := e.Telemetry; rec != nil {
-			rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
-				Unit: UnitLabel(c), Engine: e.Name(),
-				Tier: v.Tier.String(), Status: v.Status.String(),
-				Attempt: attempt,
-			})
-		}
-		if fail == nil {
-			v.Attempts = attempt
-			return v
-		}
-		lastFail = fail
-	}
-	lastFail.Attempts = attempts
-	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts, Failure: lastFail}
-	degradeVerdict(parent, e.fb.analysis(g), g, c, &v)
-	return v
-}
-
-func (e *Pinpoint) checkOneVerdict(ctx context.Context, g *pdg.Graph, c sparse.Candidate, attempt int) Verdict {
-	if ctx.Err() != nil {
+func (e *Pinpoint) checkOneVerdict(at rung, g *pdg.Graph) Verdict {
+	c := at.c
+	if at.parent.Err() != nil {
 		return Verdict{Cand: c, Status: sat.Unknown}
 	}
 	if faultinject.Enabled() {
 		unit := UnitLabel(c)
 		faultinject.Fire("panic.check", unit)
-		faultinject.FireSolveAttempt(unit, attempt)
+		faultinject.FireSolveAttempt(unit, at.n)
 		faultinject.Delay(unit, 50*time.Millisecond)
 	}
 	t0 := time.Now()
-	r, size := e.checkOne(ctx, g, c, attempt)
+	r, size := e.checkOne(at, g)
 	v := Verdict{
 		Cand: c, Status: r.Status, Preprocessed: r.Preprocessed,
 		CacheHits:     r.CacheHits,
@@ -694,7 +564,7 @@ func (e *Pinpoint) checkOneVerdict(ctx context.Context, g *pdg.Graph, c sparse.C
 		rec.Wall("solve.probe", r.ProbeTime)
 	}
 	if r.Status == sat.Unknown && r.Exhausted {
-		degradeVerdict(ctx, e.fb.analysis(g), g, c, &v)
+		degradeVerdict(at.parent, e.fb.analysis(g), g, c, &v)
 	}
 	return v
 }
@@ -722,9 +592,8 @@ func (e *Pinpoint) SessionStats() (queries, cacheHits, evictions, resets int64) 
 	return e.warm.Queries, e.warm.CacheHits, e.warm.Evictions, e.warm.Resets
 }
 
-func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candidate, attempt int) (solver.Result, int) {
-	ctx, cancel := e.Cfg.candidateCtx(parent)
-	defer cancel()
+func (e *Pinpoint) checkOne(at rung, g *pdg.Graph) (solver.Result, int) {
+	c, ctx := at.c, at.ctx
 	sl := pdg.ComputeSlice(g, []pdg.Path{c.Path})
 	c.ApplyConstraint(sl, 0)
 	opts := e.Cfg.options()
@@ -740,7 +609,7 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 	defer e.mu.Unlock()
 	b := e.cache
 	sess := e.session()
-	if attempt >= 3 {
+	if at.n >= 3 {
 		// Ladder escalation: past the warm and rebuilt-session rungs,
 		// solve one-shot with no warm state at all.
 		sess = nil
@@ -792,7 +661,7 @@ func (e *Pinpoint) checkOne(parent context.Context, g *pdg.Graph, c sparse.Candi
 	// The per-candidate deadline firing (parent still alive) counts as
 	// budget exhaustion, not outside cancellation.
 	if r.Status == sat.Unknown && !r.Exhausted &&
-		ctx.Err() != nil && parent.Err() == nil {
+		ctx.Err() != nil && at.parent.Err() == nil {
 		r.Exhausted = true
 	}
 	if sess != nil {
@@ -879,22 +748,19 @@ func (e *Pinpoint) checkRefined(b *smt.Builder, sl *pdg.Slice, opts solver.Optio
 // syntactic flow is reported without a feasibility check (the precision
 // loss behind its false-positive rate).
 type Infer struct {
+	// Common's Parallel, Telemetry, and OnVerdict apply; Infer never
+	// solves, so the solver settings are ignored. The spec join stays
+	// single-writer whatever Parallel is.
+	Common
 	// MaxSummaryDepth bounds how deep flows are tracked across calls;
 	// deeper flows are missed (the recall loss of limited cross-file
 	// reasoning).
 	MaxSummaryDepth int
-	// Parallel is the worker count for scoring candidates; 0 or 1 means
-	// sequential. The spec join stays single-writer either way.
-	Parallel int
 	// SpecBudget caps the total materialized spec entries; exceeding it
 	// models running out of memory (the paper's wine result). Zero means
 	// 32 million entries.
 	SpecBudget int64
-	// Telemetry and OnVerdict mirror the Fusion fields; Infer never
-	// solves, so only verdict counters and the observer apply.
-	Telemetry *telemetry.Recorder
-	OnVerdict func(i int, v Verdict)
-	bytes     int64
+	bytes      int64
 	// specs holds the materialized per-function spec tables, kept alive
 	// for the engine's lifetime like a summary cache.
 	specs map[string][]specEntry
@@ -923,8 +789,7 @@ func (e *Infer) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidat
 	if ctx.Err() == nil {
 		e.buildSpecs(g)
 	}
-	vs, fails := driver.ParallelCheck(ctx, len(cands), e.Parallel, func(i int) Verdict {
-		c := cands[i]
+	return e.check(ctx, cands, func(ctx context.Context, c sparse.Candidate, _ int) Verdict {
 		if ctx.Err() != nil {
 			return Verdict{Cand: c, Status: sat.Unknown}
 		}
@@ -935,15 +800,8 @@ func (e *Infer) Check(ctx context.Context, g *pdg.Graph, cands []sparse.Candidat
 		if crossings(c.Path) > e.MaxSummaryDepth {
 			st = sat.Unsat // flow too deep for the compositional summary
 		}
-		v := Verdict{Cand: c, Status: st}
-		if e.OnVerdict != nil {
-			e.OnVerdict(i, v)
-		}
-		return v
+		return Verdict{Cand: c, Status: st}
 	})
-	attachFailures(vs, fails, cands)
-	recordVerdicts(e.Telemetry, vs)
-	return vs
 }
 
 func crossings(p pdg.Path) int {
@@ -1007,19 +865,6 @@ func (e *Infer) buildSpecs(g *pdg.Graph) {
 	e.bytes = total * int64(unsafe.Sizeof(specEntry{}))
 }
 
-// SetParallel configures the Check worker count on engines that support
-// one; other engines are left unchanged.
-func SetParallel(e Engine, workers int) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.Parallel = workers
-	case *Pinpoint:
-		x.Parallel = workers
-	case *Infer:
-		x.Parallel = workers
-	}
-}
-
 // recordVerdicts folds one Check's verdicts into the telemetry recorder.
 // Verdict-derived tallies go to the deterministic Counters section — a
 // Verdict is byte-identical for any worker count, so anything read off
@@ -1078,47 +923,15 @@ func recordVerdicts(r *telemetry.Recorder, vs []Verdict) {
 	}
 }
 
-// SetTelemetry attaches a telemetry recorder to engines that record one;
-// other engines are left unchanged.
-func SetTelemetry(e Engine, r *telemetry.Recorder) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.Telemetry = r
-	case *Pinpoint:
-		x.Telemetry = r
-	case *Infer:
-		x.Telemetry = r
-	}
-}
+// SetParallel sets the engine's Check worker count.
+func SetParallel(e Engine, workers int) { e.Settings().Parallel = workers }
 
-// SetOnVerdict installs a per-verdict observer on engines that support
-// one, reporting whether it was installed. Callers that journal every
-// verdict must fall back to whole-run recording when it returns false
-// (wrapper engines).
-func SetOnVerdict(e Engine, fn func(int, Verdict)) bool {
-	switch x := e.(type) {
-	case *Fusion:
-		x.OnVerdict = fn
-	case *Pinpoint:
-		x.OnVerdict = fn
-	case *Infer:
-		x.OnVerdict = fn
-	default:
-		return false
-	}
-	return true
-}
+// SetTelemetry attaches a telemetry recorder to the engine.
+func SetTelemetry(e Engine, r *telemetry.Recorder) { e.Settings().Telemetry = r }
 
-// SetNoSession configures the warm-session ablation (-session=off) on
-// engines that solve; other engines are left unchanged.
-func SetNoSession(e Engine, off bool) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.NoSession = off
-	case *Pinpoint:
-		x.NoSession = off
-	}
-}
+// SetOnVerdict installs (or, with nil, removes) the engine's per-verdict
+// observer.
+func SetOnVerdict(e Engine, fn func(int, Verdict)) { e.Settings().OnVerdict = fn }
 
 // All returns every engine the evaluation compares, freshly constructed.
 func All() []Engine {

@@ -28,6 +28,8 @@ import (
 // feasibility of several flows.
 type JointChecker interface {
 	CheckJointPaths(ctx context.Context, g *pdg.Graph, paths []pdg.Path) sat.Status
+	// Settings supplies the retry-ladder height CheckJoint honours.
+	Settings() *Common
 }
 
 // CheckJointPaths implements JointChecker for the fused engine. Joint
@@ -147,18 +149,6 @@ type JointVerdict struct {
 	Failure  *failure.UnitFailure
 }
 
-// jointRetries reads the engine's retry-ladder height, for engines that
-// carry a SolverConfig.
-func jointRetries(eng JointChecker) int {
-	switch x := eng.(type) {
-	case *Fusion:
-		return x.Cfg.Retries
-	case *Pinpoint:
-		return x.Cfg.Retries
-	}
-	return 0
-}
-
 // jointUnitLabel names one group for failure reports, stable under
 // enumeration order: the sink's function and vertex plus the flow count.
 func jointUnitLabel(grp JointGroup) string {
@@ -173,7 +163,7 @@ func jointUnitLabel(grp JointGroup) string {
 // the remaining groups.
 func CheckJoint(ctx context.Context, eng JointChecker, g *pdg.Graph, cands []sparse.Candidate) []JointVerdict {
 	groups := GroupBySink(cands)
-	retries := jointRetries(eng)
+	retries := eng.Settings().Cfg.Retries
 	out := make([]JointVerdict, 0, len(groups))
 	for _, grp := range groups {
 		if ctx.Err() != nil {

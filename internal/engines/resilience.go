@@ -4,13 +4,16 @@ import (
 	"context"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fusion/internal/absint"
+	"fusion/internal/driver"
 	"fusion/internal/failure"
 	"fusion/internal/pdg"
 	"fusion/internal/sat"
 	"fusion/internal/sparse"
+	"fusion/internal/telemetry"
 )
 
 // Tier labels the precision of the procedure that produced a verdict,
@@ -71,30 +74,6 @@ type Budget struct {
 // IsZero reports an entirely unbounded budget.
 func (b Budget) IsZero() bool { return b == Budget{} }
 
-// SetBudget configures the per-candidate budget on engines that have a
-// bit-precise tier; other engines are left unchanged.
-func SetBudget(e Engine, b Budget) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.Cfg.Budget = b
-	case *Pinpoint:
-		x.Cfg.Budget = b
-	}
-}
-
-// SetSupervision configures the retry ladder and watchdog grace window
-// on engines that solve; other engines are left unchanged. With no
-// fault armed, verdicts are byte-identical for any retries value: a
-// clean first attempt never re-runs.
-func SetSupervision(e Engine, retries int, grace time.Duration) {
-	switch x := e.(type) {
-	case *Fusion:
-		x.Cfg.Retries, x.Cfg.WatchdogGrace = retries, grace
-	case *Pinpoint:
-		x.Cfg.Retries, x.Cfg.WatchdogGrace = retries, grace
-	}
-}
-
 // UnitLabel names one candidate for failure reports and fault-injection
 // matching: checker name, sink position, source position, and argument
 // index, all stable under enumeration order and worker count.
@@ -137,6 +116,130 @@ func attachFailures(vs []Verdict, fails []*failure.UnitFailure, cands []sparse.C
 		f.Unit, f.Stage = UnitLabel(cands[i]), "check"
 		vs[i] = Verdict{Cand: cands[i], Status: sat.Unknown, Failure: f}
 	}
+}
+
+// rung is one attempt of the retry ladder, as the engine's attempt
+// function sees it.
+type rung struct {
+	c sparse.Candidate
+	// parent is the Check context; ctx is the attempt's own, with the
+	// per-candidate deadline applied — telling the two apart is what
+	// separates budget exhaustion from outside cancellation.
+	parent, ctx context.Context
+	// stall is cancelled only when the attempt is torn down (watchdog
+	// abandonment or run cancellation): the injected stall.solve wedge
+	// waits on it, because a real wedge ignores deadlines.
+	stall context.Context
+	// hb is the solver heartbeat the watchdog samples.
+	hb *atomic.Int64
+	// n is the 1-based attempt number; w is the worker slot.
+	n, w int
+}
+
+// ladder is the retry ladder every solving engine runs per candidate,
+// configured by the engine for one Check call.
+type ladder struct {
+	*Common
+	engine string
+	g      *pdg.Graph
+	// watchdog allows the per-worker watchdog (armed by
+	// Cfg.WatchdogGrace) to supervise attempts; false runs them inline.
+	watchdog bool
+	// tier is the engine's own absint analysis, nil when it runs without
+	// one; the final rung then builds the fallback analysis in fb.
+	tier *absint.Analysis
+	fb   *fallbackTier
+	// attempt runs one attempt, escalating its strategy by at.n.
+	attempt func(at rung) Verdict
+	// abandoned, when non-nil, is told the worker slot whose attempt the
+	// watchdog cut loose.
+	abandoned func(w int)
+}
+
+// run climbs the ladder for one candidate: run an attempt, and on a
+// contained panic or an abandonment re-run it up to Cfg.Retries times.
+// A ladder exhausted on crashes records exactly one UnitFailure carrying
+// the attempt count; one exhausted on abandonment yields an Abandoned
+// verdict. Either way the cheap refutation tiers get a last look, so a
+// persistently crashing unit can still end with a sound Unsat.
+func (l *ladder) run(parent context.Context, c sparse.Candidate, w int) Verdict {
+	if rec := l.Telemetry; rec != nil {
+		t0 := time.Now()
+		// The ladder span encloses every attempt span on the same track, so
+		// the trace nests attempts under their candidate by containment.
+		defer func() { rec.Span(w+1, "candidate", UnitLabel(c), t0, time.Now()) }()
+	}
+	attempts := 1 + l.Cfg.Retries
+	var lastFail *failure.UnitFailure
+	abandoned := false
+	for n := 1; n <= attempts; n++ {
+		if parent.Err() != nil {
+			return Verdict{Cand: c, Status: sat.Unknown, Attempts: n - 1}
+		}
+		v, fail, ab := l.once(parent, c, w, n)
+		if fail == nil && !ab {
+			v.Attempts = n
+			return v
+		}
+		if fail != nil {
+			lastFail = fail
+		}
+		abandoned = ab
+	}
+	if lastFail != nil {
+		lastFail.Attempts = attempts
+	}
+	v := Verdict{Cand: c, Status: sat.Unknown, Attempts: attempts,
+		Abandoned: abandoned, Failure: lastFail}
+	// Final ladder rung: the abstract refuters run outside the crashed or
+	// wedged solving stack and may still produce a sound Unsat.
+	an := l.tier
+	if an == nil {
+		an = l.fb.analysis(l.g)
+	}
+	degradeVerdict(parent, an, l.g, c, &v)
+	return v
+}
+
+// once runs one attempt, under the watchdog when one is allowed and
+// armed. On abandonment the attempt's context is cancelled — the
+// orphaned goroutine unwinds through the solver's cooperative polling.
+func (l *ladder) once(parent context.Context, c sparse.Candidate, w, n int) (Verdict, *failure.UnitFailure, bool) {
+	ctx, cancel := l.Cfg.candidateCtx(parent)
+	defer cancel()
+	stall, stallCancel := context.WithCancel(parent)
+	defer stallCancel()
+	deadline, _ := ctx.Deadline()
+	var wd driver.Watchdog
+	if l.watchdog {
+		wd.Grace = l.Cfg.WatchdogGrace
+	}
+	var hb atomic.Int64
+	var t0 time.Time
+	if l.Telemetry != nil {
+		t0 = time.Now()
+	}
+	at := rung{c: c, parent: parent, ctx: ctx, stall: stall, hb: &hb, n: n, w: w}
+	v, fail, abandoned := driver.Supervise(ctx, wd, deadline, &hb, UnitLabel(c), "check",
+		func() Verdict { return l.attempt(at) })
+	if abandoned && l.abandoned != nil {
+		l.abandoned(w)
+	}
+	if rec := l.Telemetry; rec != nil {
+		rec.SolveSpan(w+1, t0, time.Now(), telemetry.SolveInfo{
+			Unit: UnitLabel(c), Engine: l.engine,
+			Tier: v.Tier.String(), Status: v.Status.String(),
+			Attempt: n, Abandoned: abandoned,
+		})
+		if abandoned {
+			// Per-attempt tally: timing-dependent (an earlier rung may or
+			// may not have been abandoned before a retry succeeded), so it
+			// lives in Sched; the final-verdict Abandoned flag feeds the
+			// deterministic watchdog.abandoned counter in recordVerdicts.
+			rec.Sched("watchdog.abandoned_attempts", 1)
+		}
+	}
+	return v, fail, abandoned
 }
 
 // fallbackTier lazily builds one abstract interpretation per graph for

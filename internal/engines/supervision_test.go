@@ -1,6 +1,7 @@
 package engines
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"runtime"
@@ -154,7 +155,7 @@ func TestRepeatedPoisoningExhaustsLadder(t *testing.T) {
 		for _, workers := range []int{1, 8} {
 			e := fresh()
 			SetParallel(e, workers)
-			SetSupervision(e, 2, 0)
+			e.Settings().Cfg.Retries = 2
 			vs := e.Check(context.Background(), g, cands)
 			failures := 0
 			for i, v := range vs {
@@ -197,7 +198,7 @@ func TestSupervisionConfigNeverChangesVerdicts(t *testing.T) {
 			for _, grace := range []time.Duration{0, 20 * time.Millisecond} {
 				e := NewFusion()
 				e.Parallel = workers
-				SetSupervision(e, retries, grace)
+				e.Cfg.Retries, e.Cfg.WatchdogGrace = retries, grace
 				var rows string
 				for _, v := range e.Check(context.Background(), g, cands) {
 					if v.Failure != nil {
@@ -215,5 +216,128 @@ func TestSupervisionConfigNeverChangesVerdicts(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestLadderOutcomesPinned pins what the shared retry ladder makes of
+// injected crashes, for both solving engines, at -retries 2: which
+// attempt recovers, the final Tier and Status, and the failure's attempt
+// count. The expected rows are the outcomes the engines' separate
+// ladders produced before they were merged. The failure digest hashes
+// the source positions between the fault and the containment boundary,
+// so it is checked for what it promises instead: the same crash has the
+// same digest at any worker count and any retry height.
+func TestLadderOutcomesPinned(t *testing.T) {
+	g := resGraph(t, resMixedSrc)
+	cands := resCands(t, g, 2)
+	target := UnitLabel(cands[0])
+	type outcome struct {
+		status           sat.Status
+		tier             Tier
+		attempts, failed int // failed: the UnitFailure's Attempts, 0 without one
+		degraded         bool
+	}
+	crashed := outcome{sat.Unknown, TierUnknown, 3, 3, true}
+	want := map[string]outcome{
+		"panic.check":   crashed,
+		"panic.solve:1": {sat.Sat, TierExact, 2, 0, false},
+		"panic.solve:2": {sat.Sat, TierExact, 3, 0, false},
+		"panic.solve:3": crashed,
+	}
+	healthy := outcome{sat.Unsat, TierExact, 1, 0, false}
+	mk := map[string]func() Engine{
+		"fusion":   func() Engine { return NewFusion() },
+		"pinpoint": func() Engine { return NewPinpoint(Plain) },
+	}
+	run := func(name, spec string, workers, retries int) []Verdict {
+		t.Helper()
+		if err := faultinject.ArmSpec(spec + ":" + target); err != nil {
+			t.Fatal(err)
+		}
+		defer faultinject.Reset()
+		e := mk[name]()
+		e.Settings().Parallel = workers
+		e.Settings().Cfg.Retries = retries
+		return e.Check(context.Background(), g, cands)
+	}
+	for name := range mk {
+		for spec, w := range want {
+			digests := map[string]bool{}
+			for _, workers := range []int{1, 8} {
+				for i, v := range run(name, spec, workers, 2) {
+					exp := healthy
+					if i == 0 {
+						exp = w
+					}
+					got := outcome{v.Status, v.Tier, v.Attempts, 0, v.Degraded}
+					if v.Failure != nil {
+						got.failed = v.Failure.Attempts
+						digests[v.Failure.Digest()] = true
+					}
+					if got != exp {
+						t.Errorf("%s %s workers=%d slot %d: got %+v, want %+v", name, spec, workers, i, got, exp)
+					}
+				}
+			}
+			if w.failed == 0 {
+				continue
+			}
+			// A single attempt fails at the same site as the ladder's last.
+			if v := run(name, spec, 1, 0)[0]; v.Failure != nil {
+				digests[v.Failure.Digest()] = true
+			} else {
+				t.Errorf("%s %s retries=0: no failure", name, spec)
+			}
+			if len(digests) != 1 {
+				t.Errorf("%s %s: digests vary across workers and retries: %v", name, spec, digests)
+			}
+		}
+	}
+}
+
+// TestPinpointWatchdogGraceRunsInline: Pinpoint's attempts hold the
+// summary-cache lock, so it never runs them under the watchdog, whatever
+// WatchdogGrace says. cancel.delay holds each attempt open for 50ms while
+// every goroutine's stack is sampled: a supervised attempt runs on a
+// goroutine the watchdog starts. Fusion, which does arm the watchdog, is
+// the control that shows the sampling can see one. Neither engine may
+// leave a goroutine behind.
+func TestPinpointWatchdogGraceRunsInline(t *testing.T) {
+	g := resGraph(t, resMixedSrc)
+	cands := resCands(t, g, 2)
+	if err := faultinject.ArmSpec("cancel.delay"); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	supervised := func(e Engine) (bool, []Verdict) {
+		e.Settings().Cfg.WatchdogGrace = time.Second
+		before := runtime.NumGoroutine()
+		done := make(chan []Verdict, 1)
+		go func() { done <- e.Check(context.Background(), g, cands) }()
+		buf := make([]byte, 1<<20)
+		seen := false
+		for {
+			select {
+			case vs := <-done:
+				waitGoroutines(t, before)
+				return seen, vs
+			default:
+				n := runtime.Stack(buf, true)
+				seen = seen || bytes.Contains(buf[:n], []byte("created by fusion/internal/driver.Supervise"))
+				time.Sleep(time.Millisecond)
+			}
+		}
+	}
+	seen, vs := supervised(NewPinpoint(Plain))
+	if seen {
+		t.Error("pinpoint ran an attempt on a watchdog-supervised goroutine")
+	}
+	for i, v := range vs {
+		if v.Attempts != 1 || v.Abandoned || v.Failure != nil {
+			t.Errorf("pinpoint slot %d: %+v", i, v)
+		}
+	}
+	if seen, _ := supervised(NewFusion()); !seen {
+		t.Error("fusion's supervised attempts were not observed; the check is vacuous")
 	}
 }

@@ -78,7 +78,7 @@ func TestAnalysisSoundAgainstConcreteExecutions(t *testing.T) {
 			cands := eng.Run(spec)
 			fus := engines.NewFusion().Check(context.Background(), g, cands)
 			fa := engines.NewFusion()
-			fa.UseAbsint = true
+			fa.UseTier(pr)
 			fusAbs := fa.Check(context.Background(), g, cands)
 			pin := engines.NewPinpoint(engines.Plain).Check(context.Background(), g, cands)
 			verdictF := map[flowKey]sat.Status{}
