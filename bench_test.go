@@ -8,9 +8,11 @@ package fusion_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
+	"fusion/internal/absint"
 	"fusion/internal/bench"
 	"fusion/internal/checker"
 	"fusion/internal/driver"
@@ -19,6 +21,7 @@ import (
 	"fusion/internal/pdg"
 	"fusion/internal/progen"
 	"fusion/internal/smt"
+	"fusion/internal/solver"
 	"fusion/internal/sparse"
 )
 
@@ -27,12 +30,12 @@ const benchScale = 0.01
 var benchBudget = bench.Budget{Time: 5 * time.Minute, CondBytes: 2 << 30}
 
 // compile caches subjects across benchmarks within one process, per
-// absint tier mode.
+// scale and absint tier mode.
 var subjectCache = map[string]*bench.Subject{}
 
 func compile(b *testing.B, info progen.Subject, scale float64, mode driver.AbsintMode) *bench.Subject {
 	b.Helper()
-	key := info.Name + "/" + mode.String()
+	key := fmt.Sprintf("%s/%g/%s", info.Name, scale, mode)
 	if s, ok := subjectCache[key]; ok {
 		return s
 	}
@@ -264,4 +267,57 @@ func BenchmarkAblationAbsint(b *testing.B) {
 			}
 		})
 	}
+}
+
+// --- Layers ---
+
+// layerScale is the scale of the per-layer benchmarks: the scale the
+// repository's benchmark (perfbench) runs its large subjects at.
+const layerScale = 0.002
+
+// BenchmarkAbsintBuild times the abstract interpretation's whole-program
+// build on v8, with the full product (intervals, strides and zones).
+func BenchmarkAbsintBuild(b *testing.B) {
+	sub := compile(b, progen.Subjects[13], layerScale, driver.AbsintOff)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		absint.AnalyzeWith(sub.Graph, absint.Config{})
+	}
+}
+
+// BenchmarkProbe times the concrete-execution model probe over the raw
+// residuals of v8's candidates under every checker: the formulas
+// fusioncore's graph probe samples, with local conditions left
+// unpreprocessed and no absint facts. Each residual is built in a fresh
+// builder under a one-byte heap bound, which stops Solve right after
+// construction, so the set-up searches nothing.
+func BenchmarkProbe(b *testing.B) {
+	sub := compile(b, progen.Subjects[13], layerScale, driver.AbsintOff)
+	var phis []*smt.Term
+	for _, spec := range checker.All() {
+		for _, c := range sparse.NewEngine(sub.Graph).Run(spec) {
+			r := fusioncore.Solve(context.Background(), smt.NewBuilder(), sub.Graph, []pdg.Path{c.Path},
+				fusioncore.Options{
+					DisableLocalPreprocess: true,
+					DisableGraphProbe:      true,
+					Constraints:            c.Constraints(0),
+					MaxHeapDelta:           1,
+				})
+			if r.Phi != nil && !r.Phi.IsConst() {
+				phis = append(phis, r.Phi)
+			}
+		}
+	}
+	if len(phis) == 0 {
+		b.Fatal("no residuals")
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, phi := range phis {
+			solver.Probe(phi, 32)
+		}
+	}
+	b.ReportMetric(float64(len(phis)), "formulas")
 }

@@ -343,15 +343,16 @@ func zoneName(x *ssa.Value) string {
 // reaches the fixpoint.
 func (a *Analysis) evalFunction(f *ssa.Function, args []Interval, record bool, depth int) Interval {
 	local := make(map[*ssa.Value]Interval, len(f.Values))
-	// The stride domain is only tracked in the record pass: instantiation
-	// passes re-evaluate intervals per call site, where skipping the
-	// product merely costs precision, never soundness.
+	// The stride and zone domains are only tracked in the record pass:
+	// instantiation passes re-evaluate intervals per call site and never
+	// store a stride or a zone, where skipping the product merely costs
+	// precision, never soundness.
 	stride := a.stride && record
 	var localSt map[*ssa.Value]Stride
 	if stride {
 		localSt = make(map[*ssa.Value]Stride, len(f.Values))
 	}
-	ref := newRefiner(local, localSt, a.zone, stride, a.stop)
+	ref := newRefiner(local, localSt, a.zone && record, stride, a.stop)
 
 	stopped := false
 	for _, v := range f.Values {

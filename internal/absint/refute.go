@@ -85,17 +85,44 @@ func (a *Analysis) RefuteSliceTieredCtx(ctx context.Context, sl *pdg.Slice) (ref
 }
 
 func (a *Analysis) refuteTiered(sl *pdg.Slice, stop func() bool) (refuted, byStride, byZone bool) {
+	if refuted, byStride := a.refuteCheap(sl, stop); refuted {
+		return true, byStride, false
+	}
+	refuted = a.refuteZone(sl, stop)
+	return refuted, false, refuted
+}
+
+// RefuteSliceCheapCtx runs the cheap tiers alone: the interval domain,
+// then the interval×stride product when the congruence domain is
+// enabled. byStride reports the second tier was needed. A caller that
+// has more to try before the zone (fusioncore probes for a model first)
+// follows up with RefuteSliceZoneCtx.
+func (a *Analysis) RefuteSliceCheapCtx(ctx context.Context, sl *pdg.Slice) (refuted, byStride bool) {
+	return a.refuteCheap(sl, pollStop(ctx))
+}
+
+// RefuteSliceZoneCtx runs the zone tier alone: the full product, false
+// when the zone domain is disabled. It repeats the cheap tiers' work
+// inside the product, so it only pays after they failed.
+func (a *Analysis) RefuteSliceZoneCtx(ctx context.Context, sl *pdg.Slice) bool {
+	return a.refuteZone(sl, pollStop(ctx))
+}
+
+func (a *Analysis) refuteCheap(sl *pdg.Slice, stop func() bool) (refuted, byStride bool) {
 	if a.refuteOnce(sl, false, false, stop) {
-		return true, false, false
+		return true, false
 	}
 	if a.stride && !(stop != nil && stop()) && a.refuteOnce(sl, true, false, stop) {
-		return true, true, false
+		return true, true
 	}
+	return false, false
+}
+
+func (a *Analysis) refuteZone(sl *pdg.Slice, stop func() bool) bool {
 	if !a.zone || (stop != nil && stop()) {
-		return false, false, false
+		return false
 	}
-	refuted = a.refuteOnce(sl, a.stride, true, stop)
-	return refuted, false, refuted
+	return a.refuteOnce(sl, a.stride, true, stop)
 }
 
 func (a *Analysis) refuteOnce(sl *pdg.Slice, useStride, useZone bool, stop func() bool) bool {

@@ -182,6 +182,16 @@ func TestAbsintCrashContained(t *testing.T) {
 	if f == nil || f.Stage != "absint" || f.Unit != "test" {
 		t.Fatalf("AbsintFailure: %+v", f)
 	}
+	// The containment boundary cuts the stack at the build's own frame:
+	// the fault site stays, sync.Once and this test's frames go.
+	if !strings.Contains(f.Stack, "faultinject.Fire") {
+		t.Errorf("stack lost the fault site:\n%s", f.Stack)
+	}
+	for _, below := range []string{"sync.(*Once)", "driver_test.", "testing."} {
+		if strings.Contains(f.Stack, below) {
+			t.Errorf("stack not truncated at driver.(*Program).Absint: has %s\n%s", below, f.Stack)
+		}
+	}
 	if p.Oracle() != nil {
 		t.Error("oracle must be nil after a contained tier crash")
 	}

@@ -3,6 +3,7 @@ package engines
 import (
 	"context"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -265,6 +266,34 @@ func TestInjectedPanicContained(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestCrashStackNamesMethod: a contained crash's sanitized stack names
+// the engine method that crashed, receiver included, and its digest is
+// the same at workers 1 and 8.
+func TestCrashStackNamesMethod(t *testing.T) {
+	g := resGraph(t, resMixedSrc)
+	cands := resCands(t, g, 2)
+	if err := faultinject.ArmSpec("panic.check:" + UnitLabel(cands[0])); err != nil {
+		t.Fatal(err)
+	}
+	defer faultinject.Reset()
+	digests := map[int]string{}
+	for _, workers := range []int{1, 8} {
+		e := NewFusion()
+		SetParallel(e, workers)
+		f := e.Check(context.Background(), g, cands)[0].Failure
+		if f == nil {
+			t.Fatalf("workers=%d: injected crash not reported", workers)
+		}
+		if !strings.Contains(f.Stack, "engines.(*Fusion).checkOne") {
+			t.Errorf("workers=%d: stack does not name (*Fusion).checkOne:\n%s", workers, f.Stack)
+		}
+		digests[workers] = f.Digest()
+	}
+	if digests[1] != digests[8] {
+		t.Errorf("digest differs across worker counts: %s vs %s", digests[1], digests[8])
 	}
 }
 

@@ -131,11 +131,11 @@ func FromPanicAt(unit, stage string, v any, boundary string) *UnitFailure {
 
 // SanitizeStack rewrites a runtime.Stack dump into a deterministic
 // form: the "goroutine N [running]:" header and "created by" trailer go
-// away, each call frame keeps only the function name (hex argument
-// values vary run to run), and each source line keeps file:line but
-// drops the "+0x..." program counter offset. Frames belonging to the
-// runtime's panic machinery and to this package are dropped so the
-// first line is the frame that actually panicked.
+// away, each call frame keeps its function name, receiver included, but
+// drops its argument list (hex values vary run to run), and each source
+// line keeps file:line but drops the "+0x..." program counter offset.
+// Frames belonging to the runtime's panic machinery and to this package
+// are dropped so the first line is the frame that actually panicked.
 func SanitizeStack(s string) string { return sanitizeStack(s, "") }
 
 func sanitizeStack(s, boundary string) string {
@@ -156,12 +156,15 @@ func sanitizeStack(s, boundary string) string {
 			continue
 		}
 		if !strings.HasPrefix(ln, "\t") {
-			// Function frame line: "pkg.fn(0x1, 0x2)" → "pkg.fn".
-			name := ln
-			if i := strings.IndexByte(name, '('); i > 0 {
-				name = name[:i]
+			// Function frame line: "pkg.(*T).fn(0x1, 0x2)" → "pkg.(*T).fn".
+			// Only the trailing argument list goes: a method's receiver
+			// is part of its name.
+			name := strings.TrimSpace(ln)
+			if strings.HasSuffix(name, ")") {
+				if i := strings.LastIndexByte(name, '('); i > 0 {
+					name = name[:i]
+				}
 			}
-			name = strings.TrimSpace(name)
 			if name == "" {
 				continue
 			}

@@ -120,3 +120,37 @@ func TestBoundedWireForm(t *testing.T) {
 		t.Errorf("digest %s after second round trip, want %s", h.Digest(), want)
 	}
 }
+
+// TestSanitizeStackKeepsReceivers: a method frame keeps its receiver —
+// only the trailing argument list goes — so a sanitized stack names the
+// engine function that crashed, and a boundary spelled with a receiver
+// cuts the stack there.
+func TestSanitizeStackKeepsReceivers(t *testing.T) {
+	in := "goroutine 7 [running]:\n" +
+		"fusion/internal/failure.FromPanicAt({0x1, 0x2}, {0x3, 0x4}, {0x5, 0x6})\n" +
+		"\t/r/internal/failure/failure.go:123 +0x5a\n" +
+		"fusion/internal/driver.(*Program).Absint.func1.1()\n" +
+		"\t/r/internal/driver/driver.go:282 +0x5a\n" +
+		"panic({0x4f2a80?, 0xc0000142d0?})\n" +
+		"\t/usr/local/go/src/runtime/panic.go:770 +0x132\n" +
+		"fusion/internal/engines.(*Fusion).checkOne(0xc000010250, {0x1, 0x2}, ...)\n" +
+		"\t/r/internal/engines/engines.go:361 +0x1a\n" +
+		"fusion/internal/driver.(*Program).Absint.func1()\n" +
+		"\t/r/internal/driver/driver.go:294 +0x1a\n" +
+		"sync.(*Once).doSlow(0xc000010250, 0xc000010260)\n" +
+		"\t/usr/local/go/src/sync/once.go:76 +0xb4\n" +
+		"created by testing.(*T).Run in goroutine 1\n" +
+		"\t/usr/local/go/src/testing/testing.go:1742 +0x390\n"
+	want := "fusion/internal/driver.(*Program).Absint.func1.1\n\tdriver.go:282\n" +
+		"fusion/internal/engines.(*Fusion).checkOne\n\tengines.go:361\n" +
+		"fusion/internal/driver.(*Program).Absint.func1\n\tdriver.go:294\n" +
+		"sync.(*Once).doSlow\n\tonce.go:76"
+	if got := SanitizeStack(in); got != want {
+		t.Errorf("SanitizeStack:\n%s\nwant\n%s", got, want)
+	}
+	want = "fusion/internal/driver.(*Program).Absint.func1.1\n\tdriver.go:282\n" +
+		"fusion/internal/engines.(*Fusion).checkOne\n\tengines.go:361"
+	if got := sanitizeStack(in, "driver.(*Program).Absint"); got != want {
+		t.Errorf("boundary driver.(*Program).Absint:\n%s\nwant\n%s", got, want)
+	}
+}

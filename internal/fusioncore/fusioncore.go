@@ -60,10 +60,12 @@ type Options struct {
 	// candidate.
 	Constraints []pdg.ValueConstraint
 	// Absint, when set, adds the interval abstract interpretation as the
-	// first preprocessing tier: queries it refutes are decided unsat with
-	// no formula built at all, its decided singletons pre-simplify the
-	// per-function local conditions, and its invariant bounds on
-	// path-step vertices are exported as extra conjuncts of the residual.
+	// first preprocessing tier: queries its interval and stride rungs
+	// refute are decided unsat with no formula built at all, its zone
+	// rung runs once the graph probe found no model, its decided
+	// singletons pre-simplify the per-function local conditions, and its
+	// invariant bounds on path-step vertices are exported as extra
+	// conjuncts of the residual.
 	Absint *absint.Analysis
 	// DisableAbsintSimplify turns off the absint-guided pre-simplification
 	// of local conditions (the `-absint=nosimplify` ablation); refutation
@@ -185,16 +187,16 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		return res // Status zero value is Unknown
 	}
 
-	// Interval tier: the abstract interpretation models the very equation
-	// system emitted below, so an abstract contradiction proves the query
-	// unsat without building a formula (and soundness tests hold it to
-	// that).
+	// Interval and stride tiers: the abstract interpretation models the
+	// very equation system emitted below, so an abstract contradiction
+	// proves the query unsat without building a formula (and soundness
+	// tests hold it to that). The costlier zone tier waits until the
+	// graph probe below has had its try.
 	if opts.Absint != nil {
-		if refuted, byStride, byZone := opts.Absint.RefuteSliceTieredCtx(ctx, sl); refuted {
+		if refuted, byStride := opts.Absint.RefuteSliceCheapCtx(ctx, sl); refuted {
 			res.Status = sat.Unsat
 			res.DecidedByAbsint = true
 			res.DecidedByStride = byStride
-			res.DecidedByZone = byZone
 			return res
 		}
 	}
@@ -208,7 +210,23 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 		return solver.Solve(b, phi, opts.Solver)
 	}
 
+	// Zone tier: it runs after the graph probe below, whose models are
+	// checked by evaluation, so a query the probe decides Sat is one no
+	// sound zone refutes and running the zone first would only cost time.
+	refutedByZone := func() bool {
+		if opts.Absint == nil || !opts.Absint.RefuteSliceZoneCtx(ctx, sl) {
+			return false
+		}
+		res.Status = sat.Unsat
+		res.DecidedByAbsint = true
+		res.DecidedByZone = true
+		return true
+	}
+
 	if opts.Unoptimized {
+		if refutedByZone() {
+			return res
+		}
 		// Algorithm 4: eager translation, then the conventional solver.
 		tr := cond.Translate(b, sl)
 		res.Result = solveFinal(tr.Phi)
@@ -240,6 +258,11 @@ func Solve(ctx context.Context, b *smt.Builder, g *pdg.Graph, paths []pdg.Path, 
 			res.Clones = len(rawSt.st.emitted)
 			return res
 		}
+	}
+
+	if refutedByZone() {
+		res.ProbeTime = graphProbeTime
+		return res
 	}
 
 	heapBefore := b.EstimatedBytes()

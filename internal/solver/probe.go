@@ -13,11 +13,21 @@ import (
 // the free inputs and computing the defined variables forward decides many
 // satisfiable instances instantly. Sample values are seeded with the
 // constants appearing near each input, which makes guards like "x == 37"
-// reachable. A returned model is always verified by evaluation, so probing
-// is sound.
-// A returned model is always verified by evaluation, so Probe is sound.
+// reachable. Every evaluation runs on one slot-indexed tape of phi
+// (smt.Tape); a model the tape accepts is checked once more with
+// smt.Eval before it is returned, so Probe is sound whatever the tape
+// computes.
 func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
-	vars := smt.Vars(phi)
+	// The tape lists phi's sub-terms in a depth-first order whose leaves
+	// come in first-occurrence order, which is the order the variables,
+	// the value pool and the hints below are drawn in.
+	tp := smt.Compile(phi)
+	var vars []*smt.Term
+	for _, t := range tp.Terms() {
+		if t.Op == smt.OpVar {
+			vars = append(vars, t)
+		}
+	}
 	if len(vars) == 0 || len(vars) > 1<<16 {
 		return nil, false
 	}
@@ -66,13 +76,19 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 				continue
 			}
 			r := find(v)
-			if defs[r] != nil || dependsOnClass(rhs, r, find) {
+			if defs[r] != nil {
 				continue
 			}
-			// The chain's side operands must not depend on v either.
-			clean := true
+			// Neither rhs nor the chain's side operands may depend on v.
+			d := &defn{rhs: rhs, chain: chain, deps: smt.Vars(rhs)}
 			for _, st := range chain {
-				if st.other != nil && dependsOnClass(st.other, r, find) {
+				if st.other != nil {
+					d.deps = append(d.deps, smt.Vars(st.other)...)
+				}
+			}
+			clean := true
+			for _, x := range d.deps {
+				if find(x) == r {
 					clean = false
 					break
 				}
@@ -80,7 +96,7 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 			if !clean {
 				continue
 			}
-			defs[r] = &defn{rhs: rhs, chain: chain}
+			defs[r] = d
 			break
 		}
 	}
@@ -101,14 +117,7 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 			return
 		}
 		state[r] = 1
-		d := defs[r]
-		deps := smt.Vars(d.rhs)
-		for _, st := range d.chain {
-			if st.other != nil {
-				deps = append(deps, smt.Vars(st.other)...)
-			}
-		}
-		for _, dep := range deps {
+		for _, dep := range defs[r].deps {
 			dr := find(dep)
 			if defs[dr] != nil && state[dr] == 0 {
 				visit(dr)
@@ -123,41 +132,53 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 		}
 	}
 
-	// Value pool: formula constants and near misses, plus small values.
-	pool := []uint32{0, 1, 2, 5, 0xFFFFFFFF}
-	seenConst := map[uint32]bool{}
-	collectConsts(phi, func(c uint32) {
-		if !seenConst[c] {
-			seenConst[c] = true
-			pool = append(pool, c, c+1, c-1, c*2)
-		}
-	})
+	pt := newProbeTape(tp, phi, members, defs, order, find)
+	inputClasses := make([]int, len(inputs))
+	for i, r := range inputs {
+		inputClasses[i] = pt.class[r]
+	}
 
+	// Value pool: formula constants and near misses, plus small values.
 	// Targeted suggestions: an equality or comparison between a variable
 	// and a constant anywhere in the formula (e.g. the "b == 5" disjunct
 	// of a guard) suggests values for that variable's class.
+	pool := []uint32{0, 1, 2, 5, 0xFFFFFFFF}
+	seenConst := map[uint32]bool{}
 	type hint struct {
-		r   *smt.Term
-		val uint32
+		class int
+		val   uint32
 	}
 	var hints []hint
-	mineHints(phi, func(v *smt.Term, c uint32) {
+	suggest := func(v *smt.Term, c uint32) {
 		r := find(v)
-		if defs[r] == nil && len(hints) < 96 {
-			hints = append(hints, hint{r, c})
+		for _, val := range [3]uint32{c, c + 1, c - 1} {
+			if defs[r] == nil && len(hints) < 96 {
+				hints = append(hints, hint{pt.class[r], val})
+			}
 		}
-	})
-
-	setClass := func(asg smt.Assignment, r *smt.Term, val uint32) {
-		for _, m := range members[r] {
-			asg[m] = val
+	}
+	for _, t := range tp.Terms() {
+		switch t.Op {
+		case smt.OpConst:
+			if c := t.Const; t.Width > 1 && !seenConst[c] {
+				seenConst[c] = true
+				pool = append(pool, c, c+1, c-1, c*2)
+			}
+		case smt.OpEq, smt.OpUlt, smt.OpUle, smt.OpSlt, smt.OpSle:
+			x, y := t.Args[0], t.Args[1]
+			if x.Op == smt.OpVar && y.IsConst() {
+				suggest(x, y.Const)
+			}
+			if y.Op == smt.OpVar && x.IsConst() {
+				suggest(y, x.Const)
+			}
 		}
 	}
 
 	rng := rand.New(rand.NewSource(int64(phi.ID)*2654435761 + 12345))
 	for try := 0; try < tries+2*len(hints); try++ {
-		asg := smt.Assignment{}
-		for _, r := range inputs {
+		pt.clear()
+		for _, c := range inputClasses {
 			var val uint32
 			switch {
 			case try == 0:
@@ -169,48 +190,164 @@ func Probe(phi *smt.Term, tries int) (smt.Assignment, bool) {
 			default:
 				val = pool[rng.Intn(len(pool))]
 			}
-			setClass(asg, r, val)
+			pt.set(c, val)
 		}
 		if try >= tries {
 			// Hint rounds: pin one suggested class, vary the rest.
 			h := hints[(try-tries)/2]
-			setClass(asg, h.r, h.val)
+			pt.set(h.class, h.val)
 		}
-		// Compute defined classes forward in dependency order; a second
-		// pass settles any residual cyclic orientation harmlessly.
-		for pass := 0; pass < 2; pass++ {
-			for _, r := range order {
-				setClass(asg, r, defs[r].eval(asg))
+		pt.propagate()
+		pt.tp.Run()
+		if pt.tp.Value(pt.root) == 1 {
+			if m := pt.model(); smt.Eval(phi, m) == 1 {
+				return m, true
 			}
-		}
-		if smt.Eval(phi, asg) == 1 {
-			return asg, true
 		}
 	}
 
 	// Local search: pure sampling misses inputs that must satisfy several
 	// guards at once; a short greedy repair loop over the inputs of
 	// failing conjuncts (in the spirit of SLS tactics) closes most of the
-	// gap. Soundness is unchanged — any model found is verified.
-	if m, ok := localSearch(phi, inputs, defs, order, members, pool, find, rng); ok {
-		return m, true
+	// gap.
+	return pt.localSearch(phi, inputClasses, pool, find, rng)
+}
+
+// probeTape holds the probe's state on one compiled tape of phi. Alias
+// classes are numbered densely; a class's value is kept as sampled (the
+// model reports it so) and written, masked, into its members' variable
+// slots. A definition reads the slots of its right-hand side and of its
+// inverse chain's side operands, which its precomputed cone brings up to
+// date.
+type probeTape struct {
+	tp      *smt.Tape
+	root    int32
+	class   map[*smt.Term]int // class representative -> index
+	members [][]*smt.Term
+	slots   [][]int32 // member variable slots per class
+	val     []uint32
+	defs    []*defn // nil for input classes
+	deps    [][]int // classes each definition reads, in defn.deps order
+	order   []int   // defined classes in dependency order
+}
+
+func newProbeTape(tp *smt.Tape, phi *smt.Term, members map[*smt.Term][]*smt.Term, defs map[*smt.Term]*defn, order []*smt.Term, find func(*smt.Term) *smt.Term) *probeTape {
+	root, _ := tp.Slot(phi)
+	pt := &probeTape{tp: tp, root: root, class: make(map[*smt.Term]int, len(members))}
+	for r, ms := range members {
+		pt.class[r] = len(pt.members)
+		pt.members = append(pt.members, ms)
+		sl := make([]int32, len(ms))
+		for i, m := range ms {
+			sl[i], _ = tp.Slot(m)
+		}
+		pt.slots = append(pt.slots, sl)
 	}
-	return nil, false
+	pt.val = make([]uint32, len(pt.members))
+	pt.defs = make([]*defn, len(pt.members))
+	pt.deps = make([][]int, len(pt.members))
+	for r, d := range defs {
+		c := pt.class[r]
+		pt.defs[c] = d
+		for _, dep := range d.deps {
+			pt.deps[c] = append(pt.deps[c], pt.class[find(dep)])
+		}
+		roots := []*smt.Term{d.rhs}
+		for i := range d.chain {
+			if st := &d.chain[i]; st.other != nil {
+				st.slot, _ = tp.Slot(st.other)
+				roots = append(roots, st.other)
+			}
+		}
+		d.rhsSlot, _ = tp.Slot(d.rhs)
+		d.cone = tp.Cone(roots...)
+	}
+	for _, r := range order {
+		pt.order = append(pt.order, pt.class[r])
+	}
+	return pt
+}
+
+// set gives class c the value v.
+func (pt *probeTape) set(c int, v uint32) {
+	pt.val[c] = v
+	for _, s := range pt.slots[c] {
+		pt.tp.Set(s, v)
+	}
+}
+
+// clear starts a fresh assignment: defined classes read zero until
+// propagation computes them, as unassigned variables do under Eval.
+func (pt *probeTape) clear() {
+	for _, c := range pt.order {
+		pt.set(c, 0)
+	}
+}
+
+// propagate computes the defined classes forward in dependency order; a
+// second pass settles any residual cyclic orientation harmlessly.
+func (pt *probeTape) propagate() {
+	for pass := 0; pass < 2; pass++ {
+		for _, c := range pt.order {
+			pt.set(c, pt.eval(pt.defs[c]))
+		}
+	}
+}
+
+// eval computes the class value a definition implies: run its cone,
+// read rhs, then apply the inverse of each recorded operator step
+// outward-in.
+func (pt *probeTape) eval(d *defn) uint32 {
+	pt.tp.RunCone(d.cone)
+	val := pt.tp.Value(d.rhsSlot)
+	width := d.rhs.Width
+	maskW := func(v uint32) uint32 {
+		if width >= 32 {
+			return v
+		}
+		return v & (1<<uint(width) - 1)
+	}
+	for _, st := range d.chain {
+		switch st.op {
+		case smt.OpNot:
+			val = maskW(^val)
+		case smt.OpNeg:
+			val = maskW(-val)
+		case smt.OpAdd:
+			val = maskW(val - pt.tp.Value(st.slot))
+		case smt.OpXor:
+			val = maskW(val ^ pt.tp.Value(st.slot))
+		case smt.OpSub:
+			if st.otherOnLeft {
+				// other - x = val  =>  x = other - val
+				val = maskW(pt.tp.Value(st.slot) - val)
+			} else {
+				// x - other = val  =>  x = val + other
+				val = maskW(val + pt.tp.Value(st.slot))
+			}
+		case smt.OpMul:
+			val = maskW(val * st.mulInv)
+		}
+	}
+	return val
+}
+
+// model returns the current value of every variable.
+func (pt *probeTape) model() smt.Assignment {
+	m := smt.Assignment{}
+	for c, ms := range pt.members {
+		for _, v := range ms {
+			m[v] = pt.val[c]
+		}
+	}
+	return m
 }
 
 // localSearch greedily repairs a random assignment: pick an unsatisfied
 // conjunct, pick an input class it depends on, and move it to the value
-// that satisfies the most conjuncts.
-func localSearch(
-	phi *smt.Term,
-	inputs []*smt.Term,
-	defs map[*smt.Term]*defn,
-	order []*smt.Term,
-	members map[*smt.Term][]*smt.Term,
-	pool []uint32,
-	find func(*smt.Term) *smt.Term,
-	rng *rand.Rand,
-) (smt.Assignment, bool) {
+// that satisfies the most conjuncts. Scoring an assignment is one tape
+// run and a read of the conjuncts' slots.
+func (pt *probeTape) localSearch(phi *smt.Term, inputs []int, pool []uint32, find func(*smt.Term) *smt.Term, rng *rand.Rand) (smt.Assignment, bool) {
 	if len(inputs) == 0 {
 		return nil, false
 	}
@@ -218,59 +355,44 @@ func localSearch(
 	if len(conjs) > 192 || len(conjs) < 2 {
 		return nil, false // too big to afford, or nothing to repair against
 	}
+	conjSlots := make([]int32, len(conjs))
+	for i, cj := range conjs {
+		conjSlots[i], _ = pt.tp.Slot(cj)
+	}
 
 	// Per-conjunct input support, chasing definitions.
-	supMemo := map[*smt.Term][]*smt.Term{}
-	var classInputs func(r *smt.Term, seen map[*smt.Term]bool, out *[]*smt.Term)
-	classInputs = func(r *smt.Term, seen map[*smt.Term]bool, out *[]*smt.Term) {
-		if seen[r] {
+	supports := make([][]int, len(conjs))
+	var classInputs func(c int, seen map[int]bool, out *[]int)
+	classInputs = func(c int, seen map[int]bool, out *[]int) {
+		if seen[c] {
 			return
 		}
-		seen[r] = true
-		d := defs[r]
-		if d == nil {
-			*out = append(*out, r)
+		seen[c] = true
+		if pt.defs[c] == nil {
+			*out = append(*out, c)
 			return
 		}
-		deps := smt.Vars(d.rhs)
-		for _, st := range d.chain {
-			if st.other != nil {
-				deps = append(deps, smt.Vars(st.other)...)
+		for _, dep := range pt.deps[c] {
+			classInputs(dep, seen, out)
+		}
+	}
+	supportOf := func(i int) []int {
+		if supports[i] == nil {
+			out := []int{}
+			seen := map[int]bool{}
+			for _, v := range smt.Vars(conjs[i]) {
+				classInputs(pt.class[find(v)], seen, &out)
 			}
+			supports[i] = out
 		}
-		for _, dep := range deps {
-			classInputs(find(dep), seen, out)
-		}
+		return supports[i]
 	}
-	supportOf := func(cj *smt.Term) []*smt.Term {
-		if s, ok := supMemo[cj]; ok {
-			return s
-		}
-		var out []*smt.Term
-		seen := map[*smt.Term]bool{}
-		for _, v := range smt.Vars(cj) {
-			classInputs(find(v), seen, &out)
-		}
-		supMemo[cj] = out
-		return out
-	}
-
-	setClass := func(asg smt.Assignment, r *smt.Term, val uint32) {
-		for _, m := range members[r] {
-			asg[m] = val
-		}
-	}
-	compute := func(asg smt.Assignment) {
-		for pass := 0; pass < 2; pass++ {
-			for _, r := range order {
-				setClass(asg, r, defs[r].eval(asg))
-			}
-		}
-	}
-	score := func(asg smt.Assignment) int {
+	score := func() int {
+		pt.propagate()
+		pt.tp.Run()
 		n := 0
-		for _, cj := range conjs {
-			if smt.Eval(cj, asg) == 1 {
+		for _, s := range conjSlots {
+			if pt.tp.Value(s) == 1 {
 				n++
 			}
 		}
@@ -278,32 +400,31 @@ func localSearch(
 	}
 
 	for restart := 0; restart < 2; restart++ {
-		asg := smt.Assignment{}
-		for _, r := range inputs {
-			setClass(asg, r, pool[rng.Intn(len(pool))])
+		pt.clear()
+		for _, c := range inputs {
+			pt.set(c, pool[rng.Intn(len(pool))])
 		}
-		compute(asg)
-		cur := score(asg)
+		cur := score()
 		for move := 0; move < 25 && cur < len(conjs); move++ {
-			// A random unsatisfied conjunct.
-			var bad *smt.Term
+			// A random unsatisfied conjunct, under the current values.
+			pt.tp.Run()
+			bad := -1
 			off := rng.Intn(len(conjs))
 			for i := range conjs {
-				cj := conjs[(i+off)%len(conjs)]
-				if smt.Eval(cj, asg) != 1 {
-					bad = cj
+				if j := (i + off) % len(conjs); pt.tp.Value(conjSlots[j]) != 1 {
+					bad = j
 					break
 				}
 			}
-			if bad == nil {
+			if bad < 0 {
 				break
 			}
 			sup := supportOf(bad)
 			if len(sup) == 0 {
 				break // the conjunct does not depend on any input
 			}
-			r := sup[rng.Intn(len(sup))]
-			old := asg[members[r][0]]
+			c := sup[rng.Intn(len(sup))]
+			old := pt.val[c]
 			best, bestScore := old, cur
 			for trial := 0; trial < 6; trial++ {
 				var cand uint32
@@ -317,35 +438,44 @@ func localSearch(
 				default:
 					cand = pool[rng.Intn(len(pool))]
 				}
-				setClass(asg, r, cand)
-				compute(asg)
-				if sc := score(asg); sc > bestScore {
+				pt.set(c, cand)
+				if sc := score(); sc > bestScore {
 					best, bestScore = cand, sc
 				}
 			}
-			setClass(asg, r, best)
-			compute(asg)
+			pt.set(c, best)
+			pt.propagate()
 			cur = bestScore
 		}
-		if cur == len(conjs) && smt.Eval(phi, asg) == 1 {
-			return asg, true
+		if cur == len(conjs) {
+			if m := pt.model(); smt.Eval(phi, m) == 1 {
+				return m, true
+			}
 		}
 	}
 	return nil, false
 }
 
 // defn is a definition "class = invert(chain, rhs)": evaluate rhs, then
-// apply the inverse of each recorded operator step outward-in.
+// apply the inverse of each recorded operator step outward-in. rhsSlot
+// and cone place it on the probe's tape.
 type defn struct {
 	rhs   *smt.Term
 	chain []invStep
+	// deps lists the variables the definition reads: those of rhs, then
+	// those of each chain step's side operand.
+	deps    []*smt.Term
+	rhsSlot int32
+	cone    []int32
 }
 
 // invStep records one peeled operator: the variable was inside op, with
-// the other operand (nil for unary ops) on the given side.
+// the other operand (nil for unary ops; at tape slot slot) on the given
+// side.
 type invStep struct {
 	op          smt.Op
 	other       *smt.Term
+	slot        int32
 	otherOnLeft bool
 	mulInv      uint32 // modular inverse for odd multiplications
 }
@@ -401,97 +531,4 @@ func modInverse32(a uint32) uint32 {
 		x *= 2 - a*x
 	}
 	return x
-}
-
-// eval computes the class value implied by the definition under asg.
-func (d *defn) eval(asg smt.Assignment) uint32 {
-	val := smt.Eval(d.rhs, asg)
-	width := d.rhs.Width
-	maskW := func(v uint32) uint32 {
-		if width >= 32 {
-			return v
-		}
-		return v & (1<<uint(width) - 1)
-	}
-	for _, st := range d.chain {
-		switch st.op {
-		case smt.OpNot:
-			val = maskW(^val)
-		case smt.OpNeg:
-			val = maskW(-val)
-		case smt.OpAdd:
-			val = maskW(val - smt.Eval(st.other, asg))
-		case smt.OpXor:
-			val = maskW(val ^ smt.Eval(st.other, asg))
-		case smt.OpSub:
-			if st.otherOnLeft {
-				// other - x = val  =>  x = other - val
-				val = maskW(smt.Eval(st.other, asg) - val)
-			} else {
-				// x - other = val  =>  x = val + other
-				val = maskW(val + smt.Eval(st.other, asg))
-			}
-		case smt.OpMul:
-			val = maskW(val * st.mulInv)
-		}
-	}
-	return val
-}
-
-func dependsOnClass(t, r *smt.Term, find func(*smt.Term) *smt.Term) bool {
-	for _, x := range smt.Vars(t) {
-		if find(x) == r {
-			return true
-		}
-	}
-	return false
-}
-
-// mineHints reports (variable, constant) pairs appearing together under a
-// comparison or equality anywhere in the formula.
-func mineHints(phi *smt.Term, fn func(v *smt.Term, c uint32)) {
-	seen := map[*smt.Term]bool{}
-	var walk func(*smt.Term)
-	walk = func(t *smt.Term) {
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		switch t.Op {
-		case smt.OpEq, smt.OpUlt, smt.OpUle, smt.OpSlt, smt.OpSle:
-			x, y := t.Args[0], t.Args[1]
-			if x.Op == smt.OpVar && y.IsConst() {
-				fn(x, y.Const)
-				fn(x, y.Const+1)
-				fn(x, y.Const-1)
-			}
-			if y.Op == smt.OpVar && x.IsConst() {
-				fn(y, x.Const)
-				fn(y, x.Const+1)
-				fn(y, x.Const-1)
-			}
-		}
-		for _, a := range t.Args {
-			walk(a)
-		}
-	}
-	walk(phi)
-}
-
-func collectConsts(t *smt.Term, fn func(uint32)) {
-	seen := map[*smt.Term]bool{}
-	var walk func(*smt.Term)
-	walk = func(t *smt.Term) {
-		if seen[t] {
-			return
-		}
-		seen[t] = true
-		if t.Op == smt.OpConst && t.Width > 1 {
-			fn(t.Const)
-		}
-		for _, a := range t.Args {
-			walk(a)
-		}
-	}
-	walk(t)
 }
